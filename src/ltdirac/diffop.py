@@ -500,13 +500,7 @@ def restrict_scalars(matrix, base):
     ell = matrix.size
     size = ell * deg
 
-    # coordinates in the absolute power basis, descending
-    def coords(elem):
-        vals = [Fraction(int(c.numerator), int(c.denominator))
-                for c in elem.rep.to_list()]
-        return [Fraction(0)] * (deg - len(vals)) + vals
-
-    alpha = _abs_generator(field)
+    alpha = field.abs_gen()
     z = LaurentSeries.zero(base)
     rows = [[z] * size for _ in range(size)]
 
@@ -519,7 +513,7 @@ def restrict_scalars(matrix, base):
             for k in range(ell):
                 entry = matrix.rows[i][k]
                 for e, c in entry.coeffs.items():
-                    vec = coords(power * c)  # descending in alpha
+                    vec = (power * c).coords()  # descending in alpha
                     for b in range(deg):
                         coeff = vec[deg - 1 - b]
                         if coeff:
@@ -532,14 +526,6 @@ def restrict_scalars(matrix, base):
                         cell = rows[idx(i, a)][idx(k, b)]
                         rows[idx(i, a)][idx(k, b)] = cell.truncate(entry.prec)
     return ConnectionMatrix(base, rows, matrix.var, matrix.ram)
-
-
-def _abs_generator(field):
-    from sympy import QQ
-    from sympy.polys.polyclasses import ANP
-
-    from .exactalg import AlgElem
-    return AlgElem(field, ANP([QQ(1), QQ(0)], field.abs_mod, QQ))
 
 
 def exp_module(form, rank, base_field):

@@ -59,6 +59,12 @@ class BadIndices(LTDiracError):
     code = "bad-indices"
 
 
+class InternalError(LTDiracError):
+    """An internal invariant failed: a bug, never a property of the input."""
+
+    code = "internal-error"
+
+
 class ParseError(LTDiracError):
     code = "parse-error"
 
@@ -74,6 +80,7 @@ EXIT_CODES = {
     "unsupported": 3,
     "precision-exhausted": 4,
     "degree-cap-exceeded": 5,
+    "internal-error": 6,
 }
 
 

@@ -2,27 +2,33 @@
 
 Every field is stored both as a tower (base field, monic irreducible
 defining polynomial, generator name) and as a flattened absolute field
-Q[z]/(g) with g monic with integer coefficients.  Elements live in the
-absolute representation (sympy ``ANP`` values), which keeps arithmetic,
-zero tests and hashing cheap.  Tower extension uses Trager's trick:
-shift the adjoined root by an integer multiple of the old primitive
-generator until the norm (a resultant over Q) is squarefree; the norm is
-then the new absolute defining polynomial.
+Q[z]/(g) with g monic with integer coefficients (``abs_mod``).  An
+element is a tuple of integer numerators over one positive denominator:
+the descending coefficients of a polynomial in z of degree below
+deg g, in lowest terms.  Arithmetic, zero tests and hashing are plain
+integer operations.  Tower extension uses Trager's trick: shift the
+adjoined root by an integer multiple of the old primitive generator
+until the norm (a resultant over Q) is squarefree; the norm is then the
+new absolute defining polynomial.
 
-Factorization over Q and over absolute number fields is delegated to
-sympy; the tower plumbing (flattening, embeddings, relative minimal
-polynomials) is done here.
+sympy is used only where it does real work: factorization over Q and
+over absolute number fields, and the resultants of the Trager step and
+of absolute minimal polynomials.  Elements cross to sympy ``ANP``/``QQ``
+values at those calls only; the tower plumbing (flattening, embeddings,
+relative minimal polynomials) is done here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy as sp
 from sympy import QQ
 from sympy.polys.polyclasses import ANP
 
-from .errors import DegreeCapExceeded, NotASubfield, ZeroPolynomial
+from .errors import (DegreeCapExceeded, InternalError, NotASubfield,
+                     ZeroPolynomial)
 
 _Z = sp.Symbol("z")
 _Y = sp.Symbol("y")
@@ -34,41 +40,37 @@ DEFAULT_DEGREE_CAP = 16
 INTERNAL_CAP = 4096
 
 
-def _qq(value):
-    if isinstance(value, Fraction):
-        return QQ(value.numerator, value.denominator)
-    if isinstance(value, sp.Rational):
-        return QQ(value.p, value.q)
+def _ratio(value):
+    """(numerator, denominator) of an int, a Fraction or a sympy rational."""
     if isinstance(value, int):
-        return QQ(value)
-    return QQ.convert(value)
+        return value, 1
+    return int(value.numerator), int(value.denominator)
 
 
-def _anp(coeffs, mod):
-    return ANP(list(coeffs), list(mod), QQ)
+def _z_rep(degree):
+    """Representation (numerators, denominator) of z itself; degree >= 2."""
+    return (0,) * (degree - 2) + (1, 0), 1
 
 
-def _anp_key(rep, degree):
-    """Deterministic sort key: descending coefficient vector, left-padded."""
-    lst = rep.to_list()
-    pad = [QQ(0)] * (degree - len(lst))
-    return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in pad + lst)
+def _gen_is_z(field):
+    """Whether the top tower generator is the absolute generator z."""
+    return field.abs_degree > 1 and field.gen_abs == _z_rep(field.abs_degree)
 
 
 class FieldHandle:
     """A number field given as a tower over Q.
 
     Immutable.  ``abs_mod`` is the defining polynomial of the flattened
-    field as a descending list of QQ coefficients (monic, integer).
-    ``gen_abs`` is the top tower generator written in the absolute
-    generator; ``base_gen_abs`` is the image of the base field's
-    absolute generator.
+    field as a descending tuple of ints (monic).  ``gen_abs`` is the top
+    tower generator written in the absolute generator, ``base_gen_abs``
+    the image of the base field's absolute generator; both are
+    (numerators, denominator) pairs as stored in an AlgElem.
     """
 
     __slots__ = (
         "kind", "base", "defining_poly", "gen_name", "degree_cap",
         "abs_mod", "abs_degree", "gen_abs", "base_gen_abs",
-        "_domain", "_root_expr",
+        "zero", "one", "_domain", "_root_expr",
     )
 
     def __init__(self, kind, base, defining_poly, gen_name, degree_cap,
@@ -79,9 +81,11 @@ class FieldHandle:
         self.gen_name = gen_name
         self.degree_cap = degree_cap
         self.abs_mod = abs_mod
-        self.abs_degree = len(abs_mod) - 1
+        self.abs_degree = n = len(abs_mod) - 1
         self.gen_abs = gen_abs
         self.base_gen_abs = base_gen_abs
+        self.zero = AlgElem(self, (0,) * n, 1)
+        self.one = AlgElem(self, (0,) * (n - 1) + (1,), 1)
         self._domain = None
         self._root_expr = None
 
@@ -89,10 +93,9 @@ class FieldHandle:
 
     @staticmethod
     def rationals(degree_cap=DEFAULT_DEGREE_CAP):
-        mod = [QQ(1), QQ(0)]  # z, so the absolute generator is 0
-        zero = _anp([], mod)
+        zero = ((0,), 1)  # the modulus is z, so the absolute generator is 0
         return FieldHandle("rationals", None, None, "", degree_cap,
-                           mod, zero, zero)
+                           (1, 0), zero, zero)
 
     def extend(self, defining_poly, gen_name, _trusted=False):
         """Adjoin a root of ``defining_poly`` (monic irreducible over self)."""
@@ -117,22 +120,20 @@ class FieldHandle:
         if d == 1:
             # trivial extension: same absolute field, generator is -f(0)
             root = -f.coeffs[-1]
+            z = self.abs_gen()
             return FieldHandle("extension", self, f, gen_name, self.degree_cap,
-                               self.abs_mod, root.rep,
-                               _anp([QQ(1), QQ(0)], self.abs_mod))
+                               self.abs_mod, (root.num, root.den),
+                               (z.num, z.den))
 
-        g_poly = sp.Poly([sp.Rational(int(c.numerator), int(c.denominator))
-                          for c in self.abs_mod], _Z, domain="QQ")
+        g_expr = _int_poly_expr(self.abs_mod, _Z)
         # H(z, y): defining polynomial with base elements written in z
         h_expr = sp.Integer(0)
         for i, c in enumerate(f.coeffs):
-            deg = f.degree() - i
-            c_expr = _anp_to_expr(c.rep, _Z)
-            h_expr += c_expr * _Y ** deg
+            h_expr += _elem_expr(c, _Z) * _Y ** (d - i)
 
         for s in _shift_candidates():
             shifted = h_expr.subs(_Y, _Y - s * _Z, simultaneous=True)
-            norm = sp.Poly(sp.resultant(g_poly.as_expr(), sp.expand(shifted), _Z),
+            norm = sp.Poly(sp.resultant(g_expr, sp.expand(shifted), _Z),
                            _Y, domain="QQ")
             if norm.degree() != new_abs_degree:
                 continue
@@ -141,22 +142,18 @@ class FieldHandle:
         else:  # pragma: no cover - finitely many bad shifts
             raise RuntimeError("no squarefree shift found")
 
-        norm = norm.monic()
-        abs_mod, scale = _integralize(norm)
+        abs_mod, scale = _integralize(norm.monic())
         new = FieldHandle("extension", self, f, gen_name, self.degree_cap,
                           abs_mod, None, None)
-        gamma = _anp([QQ(1, scale), QQ(0)], abs_mod)  # root of the norm
+        gamma = _elem(new, list(_z_rep(new_abs_degree)[0]), scale)  # root of the norm
         theta = _old_generator_image(self, h_expr, s, gamma, new)
-        beta = gamma - _anp([_qq(s)], abs_mod) * theta
-        new.base_gen_abs = theta
-        new.gen_abs = beta
+        beta = gamma - theta * s
+        new.base_gen_abs = (theta.num, theta.den)
+        new.gen_abs = (beta.num, beta.den)
         # insurance: the adjoined generator must satisfy its defining poly
-        assert _eval_tower_poly(f, new).is_zero, \
-            "internal error: generator does not satisfy defining polynomial"
+        if not _eval_tower_poly(f, new).is_zero():
+            raise InternalError("generator does not satisfy defining polynomial")
         return new
-
-    def gen_abs_of_base(self):
-        return self.base_gen_abs
 
     # -- basic structure ---------------------------------------------
 
@@ -190,7 +187,7 @@ class FieldHandle:
     def __hash__(self):
         if self.is_rationals():
             return hash("Q")
-        return hash((self.gen_name, tuple(str(c) for c in self.abs_mod)))
+        return hash((self.gen_name, self.abs_mod))
 
     def __repr__(self):
         if self.is_rationals():
@@ -205,35 +202,34 @@ class FieldHandle:
 
     # -- elements ----------------------------------------------------
 
-    @property
-    def zero(self):
-        return AlgElem(self, _anp([], self.abs_mod))
-
-    @property
-    def one(self):
-        return AlgElem(self, _anp([QQ(1)], self.abs_mod))
-
     def element(self, value):
         """Coerce a rational number into this field."""
         if isinstance(value, AlgElem):
             return self.embed(value)
-        q = _qq(value)
-        return AlgElem(self, _anp([q] if q else [], self.abs_mod))
+        p, q = _ratio(value)
+        return _elem(self, [0] * (self.abs_degree - 1) + [p], q)
 
     def gen(self):
-        return AlgElem(self, self.gen_abs)
+        return AlgElem(self, *self.gen_abs)
+
+    def abs_gen(self):
+        """The absolute generator z (reduced, so 0 over a degree-1 field)."""
+        if self.abs_degree == 1:
+            return _elem(self, [-self.abs_mod[1]], 1)
+        return AlgElem(self, *_z_rep(self.abs_degree))
 
     def embed(self, elem):
         """Map an element of a field lower in this tower into this field."""
-        if elem.field is self or elem.field == self:
-            return AlgElem(self, _anp(elem.rep.to_list(), self.abs_mod))
+        if elem.field is self:
+            return elem
+        if elem.field == self:
+            return AlgElem(self, elem.num, elem.den)
         chain = self.tower_chain()
         for idx, fld in enumerate(chain):
             if fld is elem.field or fld == elem.field:
-                rep = elem.rep
                 for target in reversed(chain[:idx]):
-                    rep = _anp_compose(rep, target.base_gen_abs, target.abs_mod)
-                return AlgElem(self, rep)
+                    elem = elem.substitute(AlgElem(target, *target.base_gen_abs))
+                return elem
         raise NotASubfield(f"{elem.field!r} is not a subfield of {self!r}")
 
     def contains_field(self, other):
@@ -245,12 +241,10 @@ class FieldHandle:
         if self.is_rationals():
             return QQ
         if self._domain is None:
-            expr = sp.Poly([sp.Rational(int(c.numerator), int(c.denominator))
-                            for c in self.abs_mod], _Z, domain="QQ").as_expr()
-            self._root_expr = sp.CRootOf(expr, 0)
+            self._root_expr = sp.CRootOf(_int_poly_expr(self.abs_mod, _Z), 0)
             self._domain = QQ.algebraic_field(self._root_expr)
-            assert self._domain.mod.to_list() == self.abs_mod, \
-                "internal error: sympy minimal polynomial disagrees"
+            if self._domain.mod.to_list() != [QQ(c) for c in self.abs_mod]:
+                raise InternalError("sympy minimal polynomial disagrees")
         return self._domain
 
 
@@ -265,105 +259,159 @@ def _shift_candidates():
 
 def _integralize(monic_poly):
     """Rescale the root by an integer c so the monic polynomial has
-    integer coefficients; returns (descending QQ list, c)."""
-    coeffs = monic_poly.all_coeffs()
-    denoms = [sp.Rational(c).q for c in coeffs]
-    c = 1
-    for d in denoms:
-        c = sp.ilcm(c, d)
-    c = int(c)
+    integer coefficients; returns (descending tuple of ints, c)."""
+    coeffs = [sp.Rational(a) for a in monic_poly.all_coeffs()]
+    c = lcm(*(int(a.q) for a in coeffs))
+    out = [a * c ** i for i, a in enumerate(coeffs)]
+    if any(a.q != 1 for a in out):
+        raise InternalError("rescaled norm is not integral")
+    return tuple(int(a.p) for a in out), c
+
+
+def _int_poly_expr(coeffs, var):
+    """sympy expression of a descending integer coefficient list."""
     n = len(coeffs) - 1
-    out = []
-    for i, a in enumerate(coeffs):
-        a = sp.Rational(a) * sp.Integer(c) ** i
-        out.append(QQ(a.p, a.q))
-    assert all(int(q.denominator) == 1 for q in out)
-    return out, c
+    return sp.Add(*(sp.Integer(c) * var ** (n - i) for i, c in enumerate(coeffs)))
 
 
-def _anp_to_expr(rep, var):
-    expr = sp.Integer(0)
-    for c in rep.to_list():
-        expr = expr * var + sp.Rational(int(c.numerator), int(c.denominator))
-    return sp.expand(expr)
+def _elem_expr(elem, var):
+    """sympy expression of an element as a polynomial in ``var``."""
+    return _int_poly_expr(elem.num, var) / elem.den
 
 
-def _anp_compose(rep, value_anp, target_mod):
-    """Evaluate the polynomial ``rep`` (over Q) at an ANP of the target field."""
-    result = _anp([], target_mod)
-    for c in rep.to_list():
-        result = result * value_anp + _anp([c] if c else [], target_mod)
-    return result
+def _from_qq_list(field, coeffs):
+    """Element from a descending list of QQ values (a sympy ANP list)."""
+    n = field.abs_degree
+    ratios = [_ratio(c) for c in coeffs]
+    den = lcm(*(q for _, q in ratios))
+    num = [p * (den // q) for p, q in ratios]
+    return _elem(field, [0] * (n - len(num)) + num, den)
 
 
-def _old_generator_image(base, h_expr, s, gamma, new_field):
+def _old_generator_image(base, h_expr, s, gamma, new):
     """Trager back-solve: gcd(g(z), H(z, gamma - s z)) is linear z - theta."""
-    mod = new_field.abs_mod
-    g_coeffs = [_anp([c] if c else [], mod) for c in base.abs_mod]
-    # H(z, gamma - s*z) as a polynomial in z with ANP coefficients
+    g_coeffs = [new.element(c) for c in base.abs_mod]
+    # H(z, gamma - s*z) as a polynomial in z over the new field
     poly_h = sp.Poly(sp.expand(h_expr.subs(_Y, _Y - s * _Z, simultaneous=True)),
                      _Z, _Y, domain="QQ")
     h_coeffs = {}
     for (dz, dy), coeff in poly_h.terms():
-        q = _qq(coeff)
-        val = _anp([q] if q else [], mod) * gamma ** dy
-        h_coeffs[dz] = h_coeffs.get(dz, _anp([], mod)) + val
+        val = gamma ** dy * new.element(coeff)
+        h_coeffs[dz] = h_coeffs[dz] + val if dz in h_coeffs else val
     max_dz = max(h_coeffs) if h_coeffs else 0
-    h_list = [h_coeffs.get(d, _anp([], mod)) for d in range(max_dz, -1, -1)]
-    lin = _anp_poly_gcd(g_coeffs, h_list, mod)
-    assert len(lin) == 2, "internal error: Trager gcd is not linear"
+    h_list = [h_coeffs.get(d, new.zero) for d in range(max_dz, -1, -1)]
+    lin = _poly_gcd(g_coeffs, h_list)
+    if len(lin) != 2:
+        raise InternalError("Trager gcd is not linear")
     return -(lin[1] / lin[0])
 
 
-def _anp_poly_trim(coeffs):
+def _poly_trim(coeffs):
     i = 0
-    while i < len(coeffs) and coeffs[i].is_zero:
+    while i < len(coeffs) and coeffs[i].is_zero():
         i += 1
     return coeffs[i:]
 
 
-def _anp_poly_rem(a, b):
-    """Remainder of dense descending ANP coefficient lists; b nonzero."""
+def _poly_rem(a, b):
+    """Remainder of dense descending AlgElem coefficient lists; b nonzero."""
     a = list(a)
     db, lb = len(b) - 1, b[0]
     while len(a) - 1 >= db and a:
-        if a[0].is_zero:
+        if a[0].is_zero():
             a.pop(0)
             continue
         factor = a[0] / lb
         for i in range(db + 1):
             a[i] = a[i] - factor * b[i]
         a.pop(0)
-    return _anp_poly_trim(a)
+    return _poly_trim(a)
 
 
-def _anp_poly_gcd(a, b, mod):
-    a = _anp_poly_trim(a)
-    b = _anp_poly_trim(b)
+def _poly_gcd(a, b):
+    a = _poly_trim(a)
+    b = _poly_trim(b)
     while b:
-        a, b = b, _anp_poly_rem(a, b)
+        a, b = b, _poly_rem(a, b)
     lead = a[0]
     return [c / lead for c in a]
 
 
 def _eval_tower_poly(f, ext_field):
     """Evaluate a UniPoly over ext_field.base at the new generator."""
-    acc = _anp([], ext_field.abs_mod)
-    gen = ext_field.gen_abs
+    acc = ext_field.zero
+    gen = ext_field.gen()
     for c in f.coeffs:
-        cc = ext_field.embed(c)
-        acc = acc * gen + cc.rep
+        acc = acc * gen + ext_field.embed(c)
     return acc
 
 
+def _elem(field, num, den):
+    """The element num/den of ``field`` in lowest terms; den nonzero."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return AlgElem(field, tuple(num), den)
+
+
+def _inverse(num, den, mod):
+    """1/(num(z)/den) modulo the irreducible mod(z), as (numerators, d).
+
+    Solves a(z) x(z) = 1 for the coordinates of x: the columns of the
+    matrix are a, a z, ..., a z^(n-1) reduced modulo mod, and fraction-free
+    (Bareiss) elimination keeps every entry an integer; Cramer's rule
+    makes det * x integral."""
+    n = len(mod) - 1
+    v = list(reversed(num))  # ascending coefficients of a
+    cols = [v]
+    for _ in range(n - 1):
+        top = v[-1]
+        v = [0] + v[:-1]
+        if top:
+            v = [x - top * mod[n - i] for i, x in enumerate(v)]
+        cols.append(v)
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise InternalError("field modulus is not irreducible")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        pk = pivot[k]
+        for row in rows[k + 1:]:
+            rk = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pk - rk * pivot[j]) // prev
+            row[k] = 0
+        prev = pk
+    y = [0] * n  # y = det * x, back substitution in integers
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return [den * c for c in reversed(y)], prev
+
+
 class AlgElem:
-    """An element of a FieldHandle, stored in the absolute representation."""
+    """An element of a FieldHandle as integer numerators over one denominator.
 
-    __slots__ = ("field", "rep")
+    ``num`` holds the descending coefficients of the element written as
+    a polynomial in the absolute generator z, reduced modulo the field's
+    ``abs_mod`` (so it has ``abs_degree`` entries; over Q just one).
+    ``den`` is positive and shares no factor with every numerator, so
+    equal elements have equal (num, den).
+    """
 
-    def __init__(self, field, rep):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den=1):
         self.field = field
-        self.rep = rep
+        self.num = num
+        self.den = den
 
     # -- arithmetic --------------------------------------------------
 
@@ -377,31 +425,62 @@ class AlgElem:
         return self.field.element(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return AlgElem(self.field, self.rep + other.rep)
+        if other.__class__ is not AlgElem or other.field is not self.field:
+            other = self._coerce(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _elem(self.field,
+                         [x + y for x, y in zip(self.num, other.num)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _elem(self.field,
+                     [x * fa + y * fb for x, y in zip(self.num, other.num)],
+                     da * fa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return AlgElem(self.field, self.rep - other.rep)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return AlgElem(self.field, self.rep * other.rep)
+        if other.__class__ is not AlgElem or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.num, other.num
+        n = len(a)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        if n > 1:
+            mod = self.field.abs_mod
+            for i in range(n - 1):
+                c = prod[i]
+                if c:
+                    for k in range(1, n + 1):
+                        prod[i + k] -= c * mod[k]
+            prod = prod[n - 1:]
+        return _elem(self.field, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return AlgElem(self.field, -self.rep)
+        return AlgElem(self.field, tuple(-x for x in self.num), self.den)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return AlgElem(self.field, self.rep ** n)
+        out, base = self.field.one, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -413,23 +492,33 @@ class AlgElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        one = _anp([QQ(1)], self.field.abs_mod)
-        return AlgElem(self.field, one / self.rep)
+        return _elem(self.field, *_inverse(self.num, self.den,
+                                           self.field.abs_mod))
 
     def is_zero(self):
-        return self.rep.is_zero
+        return not any(self.num)
 
     def is_rational(self):
-        return len(self.rep.to_list()) <= 1
+        return not any(self.num[:-1])
 
     def as_fraction(self):
         """The element as a Fraction; only valid when is_rational()."""
-        lst = self.rep.to_list()
-        if not lst:
-            return Fraction(0)
-        if len(lst) > 1:
+        if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(int(lst[0].numerator), int(lst[0].denominator))
+        return Fraction(self.num[-1], self.den)
+
+    def coords(self):
+        """Coordinates in the power basis of z, descending, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def substitute(self, value):
+        """The image of this element under z -> value, for z the absolute
+        generator of its field and value in any field (the caller picks
+        value so that the map is a field embedding)."""
+        acc = value.field.zero
+        for x in self.num:
+            acc = acc * value + x
+        return _elem(acc.field, list(acc.num), acc.den * self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -440,14 +529,14 @@ class AlgElem:
             other = self._coerce(other)
         except NotASubfield:
             return False
-        return self.rep == other.rep
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(_anp_key(self.rep, self.field.abs_degree))
+        return hash((self.num, self.den))
 
     def key(self):
         """Deterministic sort key within a fixed field."""
-        return _anp_key(self.rep, self.field.abs_degree)
+        return self.coords()
 
     def __repr__(self):
         return f"AlgElem({self.render()})"
@@ -457,23 +546,18 @@ class AlgElem:
         if self.is_rational():
             return _render_fraction(self.as_fraction())
         name = _display_gen_name(self.field)
-        lst = self.rep.to_list()
-        deg = len(lst) - 1
+        deg = len(self.num) - 1
         terms = []
-        for i, c in enumerate(lst):
-            if not c:
-                continue
-            power = deg - i
-            frac = Fraction(int(c.numerator), int(c.denominator))
-            terms.append(_render_term(frac, name, power))
+        for i, c in enumerate(self.num):
+            if c:
+                terms.append(_render_term(Fraction(c, self.den), name, deg - i))
         return _join_terms(terms)
 
 
 def _display_gen_name(field):
     # depth-one integral towers keep the user's generator name; otherwise
     # fall back to a neutral symbol for the primitive generator
-    gen_is_abs = field.gen_abs.to_list() == [QQ(1), QQ(0)]
-    if field.base is not None and field.base.is_rationals() and gen_is_abs:
+    if field.base is not None and field.base.is_rationals() and _gen_is_z(field):
         return field.gen_name or "w"
     return "w"
 
@@ -637,6 +721,8 @@ class UniPoly:
         return _join_terms(terms)
 
 
+
+
 # -- factorization and minimal polynomials ---------------------------
 
 
@@ -648,37 +734,30 @@ def poly_factor(f):
     if f.degree() == 0:
         return []
     if field.is_rationals():
-        expr = sp.Poly([sp.Rational(c.as_fraction().numerator,
-                                    c.as_fraction().denominator)
-                        for c in f.coeffs], _Y, domain="QQ")
+        expr = sp.Poly([sp.Rational(c.num[0], c.den) for c in f.coeffs],
+                       _Y, domain="QQ")
         _, factors = expr.factor_list()
         out = []
         for fac, mult in factors:
-            mono = fac.monic()
-            coeffs = [field.element(Fraction(sp.Rational(c).p, sp.Rational(c).q))
-                      for c in mono.all_coeffs()]
+            coeffs = [field.element(c) for c in fac.monic().all_coeffs()]
             out.append((UniPoly(field, coeffs), mult))
         out.sort(key=lambda fm: fm[0].key())
         return out
 
     dom = field.sympy_domain()
-    mod = field.abs_mod
-    sym_coeffs = [ANP(c.rep.to_list(), mod, QQ) for c in f.coeffs]
+    mod = [QQ(c) for c in field.abs_mod]
+    sym_coeffs = [ANP([QQ(x, c.den) for x in c.num], mod, QQ)
+                  for c in f.coeffs]
     poly = sp.Poly(sym_coeffs, _Y, domain=dom)
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:
-        coeffs = fac.rep.to_list()
-        elems = [AlgElem(field, _anp(_as_anp_list(c), mod)) for c in coeffs]
+        elems = [_from_qq_list(field, c.to_list() if isinstance(c, ANP)
+                               else [c])
+                 for c in fac.rep.to_list()]
         out.append((UniPoly(field, elems).monic(), mult))
     out.sort(key=lambda fm: fm[0].key())
     return out
-
-
-def _as_anp_list(c):
-    if isinstance(c, ANP):
-        return c.to_list()
-    return [QQ.convert(c)] if c else []
 
 
 def minimal_poly(a, over=None):
@@ -697,7 +776,7 @@ def minimal_poly(a, over=None):
     for fac, _ in poly_factor(lifted):
         if fac.evaluate(a).is_zero():
             return fac
-    raise AssertionError("internal error: no factor annihilates the element")
+    raise InternalError("no factor annihilates the element")
 
 
 def _absolute_minpoly(a):
@@ -705,13 +784,11 @@ def _absolute_minpoly(a):
     rationals = FieldHandle.rationals(a.field.degree_cap)
     if a.is_rational():
         return UniPoly(rationals, [1, -a.as_fraction()])
-    g = sp.Poly([sp.Rational(int(c.numerator), int(c.denominator))
-                 for c in a.field.abs_mod], _Z, domain="QQ")
-    p_expr = _anp_to_expr(a.rep, _Z)
-    norm = sp.Poly(sp.resultant(g.as_expr(), _Y - p_expr, _Z), _Y, domain="QQ")
-    sqfree = sp.quo(norm, sp.gcd(norm, norm.diff(_Y)))
-    sqfree = sqfree.monic()
-    return UniPoly(rationals, [_qq(c) for c in sqfree.all_coeffs()])
+    g_expr = _int_poly_expr(a.field.abs_mod, _Z)
+    norm = sp.Poly(sp.resultant(g_expr, _Y - _elem_expr(a, _Z), _Z),
+                   _Y, domain="QQ")
+    sqfree = sp.quo(norm, sp.gcd(norm, norm.diff(_Y))).monic()
+    return UniPoly(rationals, sqfree.all_coeffs())
 
 
 def primitive_element(field):
@@ -726,15 +803,14 @@ def primitive_element(field):
         g = UniPoly(rationals, [1, 0])
         identity = lambda e: e  # noqa: E731
         return g, field, identity, identity
-    g = UniPoly(rationals, [Fraction(int(c.numerator), int(c.denominator))
-                            for c in field.abs_mod])
+    g = UniPoly(rationals, list(field.abs_mod))
     if field.base is not None and field.base.is_rationals() \
-            and field.gen_abs.to_list() == [QQ(1), QQ(0)]:
+            and _gen_is_z(field):
         simple = field
     else:
         simple = rationals.extend(g, "w", _trusted=True)
-    to_simple = lambda e: AlgElem(simple, _anp(e.rep.to_list(), simple.abs_mod))  # noqa: E731
-    from_simple = lambda e: AlgElem(field, _anp(e.rep.to_list(), field.abs_mod))  # noqa: E731
+    to_simple = lambda e: AlgElem(simple, e.num, e.den)  # noqa: E731
+    from_simple = lambda e: AlgElem(field, e.num, e.den)  # noqa: E731
     return g, simple, to_simple, from_simple
 
 
@@ -753,20 +829,10 @@ def roots_in_field(f):
 def k_embeddings(src, over, target):
     """Embeddings of src into target over the common subfield ``over``,
     as callables on AlgElem; only embeddings with image inside target."""
-    alpha = AlgElem(src, _anp([QQ(1), QQ(0)], src.abs_mod)) \
-        if src.abs_degree > 1 else src.zero
-    mu = minimal_poly(alpha, over)
+    mu = minimal_poly(src.abs_gen(), over)
     lifted = mu.map_to(target)
-    maps = []
-    for rho in sorted(roots_in_field(lifted), key=lambda e: e.key()):
-        def emb(elem, rho=rho):
-            acc = target.zero
-            for c in elem.rep.to_list():
-                acc = acc * rho + target.element(
-                    Fraction(int(c.numerator), int(c.denominator)))
-            return acc
-        maps.append(emb)
-    return maps
+    return [lambda elem, rho=rho: elem.substitute(rho)
+            for rho in sorted(roots_in_field(lifted), key=lambda e: e.key())]
 
 
 def adjoin_factor_root(field, poly, gen_name):
@@ -786,7 +852,7 @@ def with_root_of_unity(field, m):
         return field, zeta
     rationals = FieldHandle.rationals(INTERNAL_CAP)
     cyc = sp.Poly(sp.cyclotomic_poly(m, _Y), _Y, domain="QQ")
-    cyc_poly = UniPoly(rationals, [_qq(c) for c in cyc.all_coeffs()])
+    cyc_poly = UniPoly(rationals, cyc.all_coeffs())
     scratch = _with_cap(field, INTERNAL_CAP)
     ext, zeta = adjoin_factor_root(scratch, cyc_poly.map_to(scratch), "zeta")
     return ext, zeta

@@ -281,8 +281,7 @@ def _leaf_base_change(form, sigma, ext):
     if sigma == 1 or tower.absolute_degree() == 1:
         yield form.map_to(ext) if tower.absolute_degree() == 1 else form, sigma
         return
-    defining = UniPoly(ext, [Fraction(int(c.numerator), int(c.denominator))
-                             for c in tower.abs_mod])
+    defining = UniPoly(ext, list(tower.abs_mod))
     total = 0
     for idx, (fac, _) in enumerate(poly_factor(defining)):
         if fac.degree() == 1:
@@ -290,13 +289,7 @@ def _leaf_base_change(form, sigma, ext):
         else:
             target = ext.extend(fac, f"b{idx}", _trusted=True)
             root = target.gen()
-        coeffs = {}
-        for j, c in form.coeffs.items():
-            acc = target.zero
-            for q in c.rep.to_list():
-                acc = acc * root + target.element(
-                    Fraction(int(q.numerator), int(q.denominator)))
-            coeffs[j] = acc
+        coeffs = {j: c.substitute(root) for j, c in form.coeffs.items()}
         yield ExpForm(target, form.m, coeffs), fac.degree()
         total += fac.degree()
     assert total == sigma, \

@@ -26,7 +26,7 @@ def _as_fraction(r):
 class ExpForm:
     """Sum of c_j * t^(-j) over a field, with ramification index m."""
 
-    __slots__ = ("field", "m", "coeffs")
+    __slots__ = ("field", "m", "coeffs", "_key")
 
     def __init__(self, field, m, coeffs):
         if m < 1:
@@ -52,6 +52,7 @@ class ExpForm:
         self.field = field
         self.m = m
         self.coeffs = clean
+        self._key = None
 
     @staticmethod
     def zero(field):
@@ -117,14 +118,18 @@ class ExpForm:
         return hash((self.m, tuple(sorted(self.coeffs))))
 
     def key(self):
-        """Deterministic ordering key (the global term ordering)."""
-        terms = []
-        for j in self.support():
-            c = self.coeffs[j]
-            mu = minimal_poly(c)
-            terms.append((j, mu.degree(),
-                          tuple(x.as_fraction() for x in mu.coeffs), c.key()))
-        return (self.m, tuple(terms))
+        """Deterministic ordering key (the global term ordering); computed
+        once, since it needs a minimal polynomial per term."""
+        if self._key is None:
+            terms = []
+            for j in self.support():
+                c = self.coeffs[j]
+                mu = minimal_poly(c)
+                terms.append((j, mu.degree(),
+                              tuple(x.as_fraction() for x in mu.coeffs),
+                              c.key()))
+            self._key = (self.m, tuple(terms))
+        return self._key
 
     def __repr__(self):
         return f"ExpForm({self.render()})"

@@ -10,6 +10,7 @@ coefficients raise PrecisionTooLow instead of degrading silently.
 from __future__ import annotations
 
 from .errors import PrecisionTooLow
+from .exactalg import AlgElem
 
 
 def _min_prec(a, b):
@@ -26,7 +27,7 @@ class LaurentSeries:
     def __init__(self, field, coeffs, prec=None):
         clean = {}
         for e, c in coeffs.items():
-            if not isinstance(c, type(field.zero)):
+            if not isinstance(c, AlgElem):
                 c = field.element(c)
             if not c.is_zero():
                 if prec is None or e < prec:
@@ -86,11 +87,9 @@ class LaurentSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, self.field.zero) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        # the constructor drops the coefficients that cancelled
         return LaurentSeries(self.field, out, _min_prec(self.prec, other.prec))
 
     def __neg__(self):
@@ -101,7 +100,7 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int,)) or type(other).__name__ == "AlgElem":
+        if isinstance(other, (int, AlgElem)):
             scalar = self.field.element(other) if isinstance(other, int) else other
             return LaurentSeries(self.field,
                                  {e: c * scalar for e, c in self.coeffs.items()},
@@ -122,16 +121,15 @@ class LaurentSeries:
                 cands.append(pa + pb)
             prec = min(cands)
         out = {}
+        get = out.get
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 if prec is not None and e >= prec:
                     continue
-                s = out.get(e, self.field.zero) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                prev = get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        # the constructor drops the coefficients that cancelled
         return LaurentSeries(self.field, out, prec)
 
     __rmul__ = __mul__
@@ -166,13 +164,13 @@ class LaurentSeries:
         h = {e - v: c * inv_lead for e, c in self.coeffs.items() if e != v}
         # iterate: out = 1 - h*out, computed degree by degree
         for target in range(1, max(length, 0)):
-            acc = self.field.zero
+            acc = None
             for eh, ch in h.items():
                 if 0 < eh <= target:
                     prev = out.get(target - eh)
                     if prev is not None:
-                        acc = acc + ch * prev
-            if not acc.is_zero():
+                        acc = ch * prev if acc is None else acc + ch * prev
+            if acc is not None and not acc.is_zero():
                 out[target] = -acc
         shifted = {e - v: c * inv_lead for e, c in out.items() if e - v < prec}
         return LaurentSeries(self.field, shifted, prec)

@@ -5,8 +5,9 @@ import pytest
 
 from ltdirac import parse_operator, render_operator
 from ltdirac.cli import JobSpec, main, run
-from ltdirac.errors import (EXIT_CODES, DegreeCapExceeded, ParseError,
-                            PrecisionExhausted, Unsupported, exit_code_for)
+from ltdirac.errors import (EXIT_CODES, DegreeCapExceeded, InternalError,
+                            LTDiracError, ParseError, PrecisionExhausted,
+                            Unsupported, exit_code_for)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -75,6 +76,8 @@ class TestExitCodes:
         assert exit_code_for(Unsupported("x")) == 3
         assert exit_code_for(PrecisionExhausted("x")) == 4
         assert exit_code_for(DegreeCapExceeded("x")) == 5
+        assert exit_code_for(InternalError("x")) == 6
+        assert issubclass(InternalError, LTDiracError)
 
 
 class TestInputChannels:

@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.polyclasses import ANP
 
-from ltdirac.errors import DegreeCapExceeded, NotASubfield, ZeroPolynomial
+from ltdirac.errors import (DegreeCapExceeded, InternalError, NotASubfield,
+                            ZeroPolynomial)
 from ltdirac.exactalg import (FieldHandle, UniPoly, minimal_poly, poly_factor,
                               primitive_element)
 
@@ -150,3 +155,101 @@ class TestFieldArithmetic:
     def test_irreducibility_checked(self):
         with pytest.raises(ValueError):
             Q.extend(UniPoly(Q, [1, 0, -4]), "two")  # y^2-4 reducible
+
+    def test_internal_checks_raise_typed_errors(self):
+        # a hand-built field whose modulus y^2-4 is reducible: sympy's
+        # field of its first root disagrees, and 2+z has no inverse
+        bogus = FieldHandle("extension", Q, None, "w", 16, (1, 0, -4),
+                            ((1, 0), 1), ((0, 0), 1))
+        with pytest.raises(InternalError):
+            bogus.sympy_domain()
+        with pytest.raises(InternalError):
+            (bogus.gen() + 2).inverse()
+
+
+# -- differential test against sympy's ANP arithmetic ------------------
+
+
+def _tower8():
+    k2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
+    k4 = k2.extend(UniPoly(k2, [1, 0, -3]), "u")
+    return k4.extend(UniPoly(k4, [1, 0, -5]), "v")
+
+
+DIFF_FIELDS = {
+    "Q": Q,
+    "sqrt2": quadratic_field(2, "s"),
+    "cbrt2": Q.extend(UniPoly(Q, [1, 0, 0, -2]), "c"),
+    "tower8": _tower8(),
+}
+
+_ratios = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _anp_key(rep, degree):
+    """Sort key of an ANP as the ``AlgElem.key`` of the sympy-backed
+    representation computed it: descending coefficients, left-padded."""
+    lst = rep.to_list()
+    pad = [QQ(0)] * (degree - len(lst))
+    return tuple(Fraction(int(c.numerator), int(c.denominator))
+                 for c in pad + lst)
+
+
+@st.composite
+def _pairs(draw, field):
+    """An element of ``field`` and the same element as a sympy ANP."""
+    n = field.absolute_degree()
+    coords = draw(st.lists(_ratios, min_size=n, max_size=n))
+    z = field.abs_gen()
+    elem = field.zero
+    for c in coords:
+        elem = elem * z + c
+    mod = [QQ(c) for c in field.abs_mod]
+    anp = ANP([QQ(c.numerator, c.denominator) for c in coords], mod, QQ)
+    return elem, anp
+
+
+def _agrees(elem, anp):
+    return elem.key() == _anp_key(anp, elem.field.absolute_degree())
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+class TestAgainstSympyANP:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ring_operations(self, name, data):
+        field = DIFF_FIELDS[name]
+        (a, pa), (b, pb) = data.draw(_pairs(field)), data.draw(_pairs(field))
+        assert _agrees(a, pa) and _agrees(b, pb)
+        assert _agrees(a + b, pa + pb)
+        assert _agrees(a - b, pa - pb)
+        assert _agrees(-a, -pa)
+        assert _agrees(a * b, pa * pb)
+        k = data.draw(st.integers(0, 5))
+        assert _agrees(a ** k, pa ** k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_division_and_inverse(self, name, data):
+        field = DIFF_FIELDS[name]
+        (a, pa), (b, pb) = data.draw(_pairs(field)), data.draw(_pairs(field))
+        assume(not b.is_zero())
+        one = ANP([QQ(1)], [QQ(c) for c in field.abs_mod], QQ)
+        assert _agrees(b.inverse(), one / pb)
+        assert _agrees(a / b, pa / pb)
+        assert _agrees(b ** -2, one / (pb * pb))
+        assert b * b.inverse() == field.one
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equality_hash_and_order(self, name, data):
+        field = DIFF_FIELDS[name]
+        (a, pa), (b, pb) = data.draw(_pairs(field)), data.draw(_pairs(field))
+        assert (a == b) == (pa == pb)
+        # the same value reached along another path is equal, hash too
+        c = (a + b) - b
+        assert c == a and hash(c) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+        n = field.absolute_degree()
+        assert (a.key() < b.key()) == (_anp_key(pa, n) < _anp_key(pb, n))
