@@ -145,7 +145,7 @@ class FieldHandle:
         abs_mod, scale = _integralize(norm.monic())
         new = FieldHandle("extension", self, f, gen_name, self.degree_cap,
                           abs_mod, None, None)
-        gamma = _elem(new, list(_z_rep(new_abs_degree)[0]), scale)  # root of the norm
+        gamma = new.abs_gen() / scale  # root of the norm
         theta = _old_generator_image(self, h_expr, s, gamma, new)
         beta = gamma - theta * s
         new.base_gen_abs = (theta.num, theta.den)
@@ -271,7 +271,8 @@ def _integralize(monic_poly):
 def _int_poly_expr(coeffs, var):
     """sympy expression of a descending integer coefficient list."""
     n = len(coeffs) - 1
-    return sp.Add(*(sp.Integer(c) * var ** (n - i) for i, c in enumerate(coeffs)))
+    return sp.Add(*(sp.Integer(c) * var ** (n - i)
+                    for i, c in enumerate(coeffs)))
 
 
 def _elem_expr(elem, var):
@@ -297,7 +298,7 @@ def _old_generator_image(base, h_expr, s, gamma, new):
     h_coeffs = {}
     for (dz, dy), coeff in poly_h.terms():
         val = gamma ** dy * new.element(coeff)
-        h_coeffs[dz] = h_coeffs[dz] + val if dz in h_coeffs else val
+        h_coeffs[dz] = h_coeffs.get(dz, new.zero) + val
     max_dz = max(h_coeffs) if h_coeffs else 0
     h_list = [h_coeffs.get(d, new.zero) for d in range(max_dz, -1, -1)]
     lin = _poly_gcd(g_coeffs, h_list)
@@ -402,8 +403,8 @@ class AlgElem:
     ``num`` holds the descending coefficients of the element written as
     a polynomial in the absolute generator z, reduced modulo the field's
     ``abs_mod`` (so it has ``abs_degree`` entries; over Q just one).
-    ``den`` is positive and shares no factor with every numerator, so
-    equal elements have equal (num, den).
+    ``den`` is positive with gcd(den, *num) == 1 (zero is all zeros over
+    1), so equal elements have equal (num, den).
     """
 
     __slots__ = ("field", "num", "den")
