@@ -358,6 +358,19 @@ def _elem(field, num, den):
     return AlgElem(field, tuple(num), den)
 
 
+def _reduce(prod, mod):
+    """Remainder of the descending integer coefficient list ``prod``
+    (at least deg mod entries; overwritten) modulo the monic ``mod``."""
+    n = len(mod) - 1
+    top = len(prod) - n
+    for i in range(top):
+        c = prod[i]
+        if c:
+            for k in range(1, n + 1):
+                prod[i + k] -= c * mod[k]
+    return prod[top:] if top else prod
+
+
 def _inverse(num, den, mod):
     """1/(num(z)/den) modulo the irreducible mod(z), as (numerators, d).
 
@@ -450,20 +463,13 @@ class AlgElem:
         if other.__class__ is not AlgElem or other.field is not self.field:
             other = self._coerce(other)
         a, b = self.num, other.num
-        n = len(a)
-        prod = [0] * (2 * n - 1)
+        prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     prod[j] += x * y
-        if n > 1:
-            mod = self.field.abs_mod
-            for i in range(n - 1):
-                c = prod[i]
-                if c:
-                    for k in range(1, n + 1):
-                        prod[i + k] -= c * mod[k]
-            prod = prod[n - 1:]
+        if len(prod) > 1:
+            prod = _reduce(prod, self.field.abs_mod)
         return _elem(self.field, prod, self.den * other.den)
 
     __rmul__ = __mul__

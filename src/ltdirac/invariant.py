@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegreeMismatch, NonIntegralDescent, RNotAboveOne,
-                     Unsupported)
+from .errors import (DegreeMismatch, InternalError, NonIntegralDescent,
+                     RNotAboveOne, Unsupported)
 from .exactalg import UniPoly, minimal_poly, poly_factor
 from .puiseux import ExpForm, c_r, deg_x
 from .turrittin import LTComponent, LTDecomposition, _merge_orbits
@@ -177,8 +177,8 @@ def bracket_values(comp, r):
     for form, sigma in comp.leaves:
         c = c_r(form, r - 1)
         value = c * c.field.element(scale)
-        assert not value.is_zero(), \
-            "internal error: vanishing leading coefficient"
+        if value.is_zero():
+            raise InternalError("vanishing leading coefficient")
         out.append((value, sigma))
     return out
 
@@ -254,8 +254,9 @@ def _divisor_base_change(div, ext):
     entries = []
     for point, mult in div.entries.items():
         for fac, e in poly_factor(point.minpoly.map_to(ext)):
-            assert e == 1, \
-                "internal error: repeated factor of an irreducible polynomial"
+            if e != 1:
+                raise InternalError(
+                    "repeated factor of an irreducible polynomial")
             entries.append((ClosedPoint(fac), mult))
     return DiracDivisor(ext, entries)
 
@@ -292,5 +293,6 @@ def _leaf_base_change(form, sigma, ext):
         coeffs = {j: c.substitute(root) for j, c in form.coeffs.items()}
         yield ExpForm(target, form.m, coeffs), fac.degree()
         total += fac.degree()
-    assert total == sigma, \
-        "internal error: factor degrees do not sum to the leaf degree"
+    if total != sigma:
+        raise InternalError(
+            "factor degrees do not sum to the leaf degree")

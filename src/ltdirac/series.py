@@ -9,8 +9,10 @@ coefficients raise PrecisionTooLow instead of degrading silently.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import PrecisionTooLow
-from .exactalg import AlgElem
+from .exactalg import AlgElem, _elem, _reduce
 
 
 def _min_prec(a, b):
@@ -19,6 +21,80 @@ def _min_prec(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+# -- integer kernels ---------------------------------------------------
+#
+# A product or an inverse sums many coefficient products into each
+# output coefficient.  The kernels write every coefficient of a series
+# over one common integer denominator and every element as one integer,
+# its numerator polynomial evaluated at z = 2^k (Kronecker substitution,
+# with k wide enough that no digit of a sum overflows), so the inner
+# loops multiply and add plain integers.  Each output coefficient is then
+# unpacked, reduced modulo abs_mod and brought to lowest terms once.
+
+
+def _scaled(coeffs):
+    """(D, [(exp, numerators of c*D), ...] by ascending exp) for the
+    least common denominator D of a nonempty coefficient map."""
+    den = lcm(*(c.den for c in coeffs.values()))
+    return den, sorted((e, c.num if c.den == den
+                        else [x * (den // c.den) for x in c.num])
+                       for e, c in coeffs.items())
+
+
+def _bits(nums):
+    """Bit length of the largest absolute value in integer vectors."""
+    return max((abs(x) for num in nums for x in num), default=0).bit_length()
+
+
+def _pack(num, k):
+    """Descending integer coefficients evaluated at z = 2^k."""
+    v = 0
+    for x in num:
+        v = (v << k) + x
+    return v
+
+
+def _unpack(v, k, count):
+    """The ``count`` descending signed base-2^k digits of v; every digit
+    lies in [-2^(k-1), 2^(k-1)).  Inverse of _pack."""
+    out = [0] * count
+    base = 1 << k
+    mask, half = base - 1, base >> 1
+    for i in range(count - 1, 0, -1):
+        d = v & mask
+        if d >= half:
+            d -= base
+        out[i] = d
+        v = (v - d) >> k
+    out[0] = v
+    return out
+
+
+def _product(field, a, b, prec):
+    """Coefficient map of a*b below ``prec`` (None: all) for nonempty
+    coefficient maps a and b."""
+    n = field.abs_degree
+    da, ta = _scaled(a)
+    db, tb = _scaled(b)
+    k = _bits(x for _, x in ta) + _bits(x for _, x in tb) \
+        + (n * min(len(ta), len(tb))).bit_length() + 1
+    pb = [(e, _pack(num, k)) for e, num in tb]
+    top = ta[-1][0] + tb[-1][0] + 1 if prec is None else prec
+    acc = {}
+    get = acc.get
+    for e1, num in ta:
+        x = _pack(num, k)
+        lim = top - e1
+        for e2, y in pb:
+            if e2 >= lim:
+                break
+            e = e1 + e2
+            acc[e] = get(e, 0) + x * y
+    mod, den, count = field.abs_mod, da * db, 2 * n - 1
+    return {e: _elem(field, _reduce(_unpack(v, k, count), mod), den)
+            for e, v in acc.items() if v}
 
 
 class LaurentSeries:
@@ -120,6 +196,9 @@ class LaurentSeries:
                 pb = other.prec if other.prec is not None else 0
                 cands.append(pa + pb)
             prec = min(cands)
+        if len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            return LaurentSeries(self.field, _product(
+                self.field, self.coeffs, other.coeffs, prec), prec)
         out = {}
         get = out.get
         for e1, c1 in self.coeffs.items():
@@ -150,30 +229,63 @@ class LaurentSeries:
             raise PrecisionTooLow("cannot invert a series that is zero to precision")
         v = min(self.coeffs)
         lead = self.coeffs[v]
-        if len(self.coeffs) == 1 and self.is_exact():
+        if len(self.coeffs) == 1:
+            if prec is None and self.prec is not None:
+                prec = self.prec - 2 * v
             return LaurentSeries(self.field, {-v: lead.inverse()}, prec)
         if prec is None:
             if self.prec is None:
                 raise PrecisionTooLow(
                     "inverting a non-monomial exact series needs a target precision")
             prec = self.prec - 2 * v
-        # u = t^v * lead * (1 + h);  1/u = t^-v lead^-1 * sum (-h)^k
-        inv_lead = lead.inverse()
-        length = prec + v  # need (1+h)^-1 below t^(prec+v)
-        out = {0: self.field.one}
-        h = {e - v: c * inv_lead for e, c in self.coeffs.items() if e != v}
-        # iterate: out = 1 - h*out, computed degree by degree
-        for target in range(1, max(length, 0)):
-            acc = None
-            for eh, ch in h.items():
-                if 0 < eh <= target:
-                    prev = out.get(target - eh)
-                    if prev is not None:
-                        acc = ch * prev if acc is None else acc + ch * prev
-            if acc is not None and not acc.is_zero():
-                out[target] = -acc
-        shifted = {e - v: c * inv_lead for e, c in out.items() if e - v < prec}
-        return LaurentSeries(self.field, shifted, prec)
+        # self = t^v sum_e r_e t^e with r_0 = lead, so 1/self = t^-v
+        # sum_t y_t t^t with y_0 = 1/lead and y_t = -(1/lead) sum_(e>=1)
+        # r_e y_(t-e), wanted below t^(prec+v).  Each sum is taken over
+        # the denominator den*q*d, for r_e = R_e/den, 1/lead = il/d and q
+        # the lcm of the denominators of the earlier y_j, and y_t is
+        # normalized once.
+        field = self.field
+        n, mod = field.abs_degree, field.abs_mod
+        den, terms = _scaled(self.coeffs)
+        inv = lead.inverse()
+        il, d = inv.num, inv.den
+        rs = [(e - v, r) for e, r in terms[1:]]
+        length = prec + v
+        out = {-v: inv} if length > 0 else {}
+        ys = [(il, d)]
+        q = d
+        # digit bound: R_e below 2^rb, every y_j numerator times q/q_j
+        # below 2^(ms + bits(q)), il below 2^ilb
+        rb, ilb = _bits(r for _, r in rs), _bits((il,))
+        ms = ilb - d.bit_length() + 1
+        k, pr, pn, pil = 0, [], [], 0
+        for t in range(1, length):
+            need = rb + ms + q.bit_length() + ilb \
+                + (t * n * n).bit_length() + 1
+            if need > k:  # widen with room to spare: repacking stays rare
+                k = 2 * need
+                pr = [(e, _pack(r, k)) for e, r in rs]
+                pn = [_pack(num, k) for num, _ in ys]
+                pil = _pack(il, k)
+            acc = 0
+            for e, r in pr:
+                if e > t:
+                    break
+                j = t - e
+                acc += r * pn[j] * (q // ys[j][1])
+            if not acc:
+                ys.append((field.zero.num, 1))
+                pn.append(0)
+                continue
+            y = _elem(field, _reduce(_unpack(-acc * pil, k, 3 * n - 2), mod),
+                      den * q * d)
+            ys.append((y.num, y.den))
+            pn.append(_pack(y.num, k))
+            ms = max(ms, _bits((y.num,)) - y.den.bit_length() + 1)
+            if q % y.den:
+                q = q // gcd(q, y.den) * y.den
+            out[t - v] = y
+        return LaurentSeries(field, out, prec)
 
     def divide(self, other, prec=None):
         return self * other.inverse(prec=prec)

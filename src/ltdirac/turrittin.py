@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .diffop import ConnectionMatrix, DiffOperator, newton_polygon
-from .errors import PrecisionExhausted, PrecisionTooLow
+from .errors import InternalError, PrecisionExhausted, PrecisionTooLow
 from .exactalg import (FieldHandle, UniPoly, k_embeddings, poly_factor,
                        roots_in_field, with_root_of_unity)
 from .puiseux import ExpForm, deg_x
@@ -141,8 +141,8 @@ def _decompose_operator(operator):
     leaves = []
     counter = [0]
     mass = _split(exact, ExpForm.zero(base), 1, None, leaves, counter)
-    assert mass == exact.order(), \
-        "internal error: decomposition mass does not match operator order"
+    if mass != exact.order():
+        raise InternalError("decomposition mass does not match operator order")
     components = _merge_orbits(leaves, base)
     return LTDecomposition(base, components)
 
@@ -165,8 +165,8 @@ def _split(op, acc, multiplier, bound, leaves, counter):
     if mass > 0:
         leaves.append((acc, mass, multiplier))
     for s, ep in positive:
-        assert s.denominator == 1, \
-            "internal error: fractional slope after ramification"
+        if s.denominator != 1:
+            raise InternalError("fractional slope after ramification")
         s = int(s)
         for fac, mult in poly_factor(ep):
             if fac.degree() == 1:
@@ -183,8 +183,8 @@ def _split(op, acc, multiplier, bound, leaves, counter):
                            {s: alpha * Fraction(1, s)})
             acc2 = acc.map_to(field2) + term
             sub = _split(child, acc2, multiplier * deg, s, leaves, counter)
-            assert sub == mult, \
-                "internal error: edge factor mass mismatch"
+            if sub != mult:
+                raise InternalError("edge factor mass mismatch")
             mass += deg * mult
     return mass
 
@@ -230,10 +230,10 @@ def _merge_orbits(leaves, base_field):
     for group in groups:
         rank = group[0][1]
         sigma = group[0][2]
-        assert all(g[1] == rank for g in group), \
-            "internal error: merged orbit with unequal ranks"
-        assert all(g[2] == sigma for g in group), \
-            "internal error: merged orbit with unequal conjugacy degrees"
+        if any(g[1] != rank for g in group):
+            raise InternalError("merged orbit with unequal ranks")
+        if any(g[2] != sigma for g in group):
+            raise InternalError("merged orbit with unequal conjugacy degrees")
         rep = min((g[0] for g in group), key=lambda f: f.key())
         components.append(LTComponent(rep, rank, sigma * len(group),
                                       [(g[0], g[2]) for g in group]))
@@ -257,44 +257,60 @@ def _decompose_matrix(matrix, policy):
         start = 4 * matrix.size * (1 + maxpole)
     if input_prec is not None:
         # fixed supply of precision: stability is checked between the
-        # full input precision and half of it
+        # full input precision and half of it, eliminating at the larger
+        # of the two (half, for inputs shorter than 4 * size)
         half = max(input_prec // 2, 2 * matrix.size)
         try:
-            low = _decompose_once(matrix, half)
-            high = _decompose_once(matrix, input_prec)
+            if half <= input_prec:
+                at_half, at_input = _stability_pair(matrix, input_prec,
+                                                    input_prec - half)
+            else:
+                at_input, at_half = _stability_pair(matrix, half,
+                                                    half - input_prec)
         except PrecisionTooLow as exc:
             raise PrecisionExhausted(
                 f"input matrix known only to order {input_prec}: "
                 f"{exc}") from exc
-        if low != high:
+        if at_half != at_input:
             raise PrecisionExhausted(
                 f"decomposition not stable between orders {half} "
                 f"and {input_prec}")
-        return high
+        return at_input
 
-    previous = None
+    # each check eliminates at 2 * prec, so the last one reaches
+    # start * 2^max_doublings
     prec = start
-    for _ in range(policy.max_doublings + 1):
+    for _ in range(policy.max_doublings):
         try:
-            dec = _decompose_once(matrix, prec)
+            low, high = _stability_pair(matrix, 2 * prec, prec)
         except PrecisionTooLow:
-            dec = None
-        if dec is not None and previous is not None and dec == previous:
-            return dec
-        previous = dec
+            pass
+        else:
+            if low == high:
+                return high
         prec *= 2
     raise PrecisionExhausted(
         f"decomposition did not stabilize within "
         f"{policy.max_doublings} precision doublings from {start}")
 
 
-def _decompose_once(matrix, prec):
+def _stability_pair(matrix, prec, step):
+    """Decompositions of the cyclic operator at ``prec - step`` and at
+    ``prec``, from one elimination at ``prec``.
+
+    Series arithmetic tracks precision honestly, so when the matrix is
+    known to ``prec``, the operator at ``prec`` with every coefficient
+    truncated by ``step`` is the one the elimination at ``prec - step``
+    would give."""
     operator = _cyclic_operator(matrix, prec)
-    frozen = DiffOperator(matrix.field,
-                          [LaurentSeries(matrix.field, c.coeffs)
-                           for c in operator.coeffs],
-                          operator.var, matrix.ram)
-    return _decompose_operator(frozen)
+    field = matrix.field
+    decs = []
+    for drop in (step, 0):
+        frozen = [LaurentSeries(field, c.truncate(c.prec - drop).coeffs)
+                  for c in operator.coeffs]
+        decs.append(_decompose_operator(
+            DiffOperator(field, frozen, operator.var, matrix.ram)))
+    return decs
 
 
 def _cyclic_vectors(field, size):

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,25 @@ class TestExitCodes:
         argv = ["--op", "x^34*D^17 - 2", "--mode", "decompose"]
         assert main(argv) == EXIT_CODES["degree-cap-exceeded"]
         capsys.readouterr()
+
+    def test_split_orbit_under_optimize(self):
+        """Under python -O, where assert statements vanish, an operator
+        whose edge polynomial splits into Galois orbits of unequal degree
+        gets its true total rank 3 or the internal-error exit code, never
+        exit 0 with a wrong rank."""
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "ltdirac.cli",
+             "--op", "x^5*D^3 - 1", "--mode", "decompose"],
+            capture_output=True, text=True, env=env, timeout=300)
+        if proc.returncode == 0:
+            assert json.loads(proc.stdout)["total_rank"] == 3
+        else:
+            assert proc.returncode == EXIT_CODES["internal-error"], \
+                proc.stderr
 
     def test_missing_operator(self, capsys):
         assert main([]) == 2

@@ -215,7 +215,7 @@ def _agrees(elem, anp):
 
 @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
 class TestAgainstSympyANP:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_ring_operations(self, name, data):
         field = DIFF_FIELDS[name]
@@ -228,7 +228,7 @@ class TestAgainstSympyANP:
         k = data.draw(st.integers(0, 5))
         assert _agrees(a ** k, pa ** k)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_division_and_inverse(self, name, data):
         field = DIFF_FIELDS[name]
@@ -240,7 +240,7 @@ class TestAgainstSympyANP:
         assert _agrees(b ** -2, one / (pb * pb))
         assert b * b.inverse() == field.one
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_equality_hash_and_order(self, name, data):
         field = DIFF_FIELDS[name]

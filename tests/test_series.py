@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltdirac.errors import PrecisionTooLow
-from ltdirac.exactalg import FieldHandle
+from ltdirac.exactalg import FieldHandle, UniPoly
 from ltdirac.series import LaurentSeries
 
 Q = FieldHandle.rationals()
@@ -90,3 +92,137 @@ class TestCalculus:
 
     def test_shift(self):
         assert series({0: 1}, prec=2).shift(3) == series({3: 1}, prec=5)
+
+
+# -- differential test of the integer kernels ----------------------------
+#
+# The reference multiplies and inverts term by term in AlgElem arithmetic,
+# normalizing after every operation, with the precision rules of
+# LaurentSeries written out again.
+
+
+def _tower8():
+    k2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
+    k4 = k2.extend(UniPoly(k2, [1, 0, -3]), "u")
+    return k4.extend(UniPoly(k4, [1, 0, -5]), "v")
+
+
+KERNEL_FIELDS = {
+    "Q": Q,
+    "sqrt2": Q.extend(UniPoly(Q, [1, 0, -2]), "s"),
+    "tower8": _tower8(),
+}
+
+
+def _known_valuation(s):
+    return min(s.coeffs) if s.coeffs else s.prec
+
+
+def reference_mul(a, b):
+    prec = None
+    if a.prec is not None or b.prec is not None:
+        va, vb = _known_valuation(a), _known_valuation(b)
+        cands = []
+        if a.prec is not None and vb is not None:
+            cands.append(a.prec + vb)
+        if b.prec is not None and va is not None:
+            cands.append(b.prec + va)
+        if not cands:
+            cands.append((a.prec or 0) + (b.prec or 0))
+        prec = min(cands)
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if prec is None or e < prec:
+                out[e] = out.get(e, a.field.zero) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}, prec
+
+
+def reference_inverse(a, prec):
+    v = min(a.coeffs)
+    inv_lead = a.coeffs[v].inverse()
+    out = {0: inv_lead}
+    for t in range(1, prec + v):
+        acc = a.field.zero
+        for e, c in a.coeffs.items():
+            if 0 < e - v <= t and t - (e - v) in out:
+                acc = acc + c * out[t - (e - v)]
+        if not acc.is_zero():
+            out[t] = -(acc * inv_lead)
+    return {t - v: c for t, c in out.items() if t - v < prec}
+
+
+_ratios = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+
+
+@st.composite
+def _elements(draw, field):
+    """A field element with random coordinates in the absolute basis."""
+    coords = draw(st.lists(_ratios, min_size=field.abs_degree,
+                           max_size=field.abs_degree))
+    z = field.abs_gen()
+    elem = field.zero
+    for c in coords:
+        elem = elem * z + c
+    return elem
+
+
+@st.composite
+def _series(draw, field, max_terms=6):
+    """A series with 0 to max_terms terms, exact or truncated."""
+    exps = draw(st.lists(st.integers(-3, 8), max_size=max_terms,
+                         unique=True))
+    coeffs = {e: draw(_elements(field)) for e in exps}
+    prec = draw(st.one_of(st.none(), st.integers(-2, 12)))
+    return LaurentSeries(field, coeffs, prec)
+
+
+def _mirror(s):
+    """s(-x): a product with it cancels the odd coefficients."""
+    return LaurentSeries(s.field, {e: -c if e % 2 else c
+                                   for e, c in s.coeffs.items()}, s.prec)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+class TestKernelsAgainstReference:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_mul(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a = data.draw(_series(field))
+        b = data.draw(st.one_of(_series(field), _series(field, max_terms=1),
+                                st.just(_mirror(a))))
+        for x, y in ((a, b), (b, a)):
+            product = x * y
+            assert (product.coeffs, product.prec) == reference_mul(x, y)
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_inverse(self, name, data):
+        field = KERNEL_FIELDS[name]
+        a = data.draw(_series(field))
+        assume(a.coeffs)
+        if a.prec is None:
+            if len(a.coeffs) == 1:
+                e, c = next(iter(a.coeffs.items()))
+                assert a.inverse() == LaurentSeries(field, {-e: c.inverse()})
+                return
+            prec = data.draw(st.integers(-2, 12))
+        else:
+            prec = a.prec - 2 * min(a.coeffs)
+        inv = a.inverse(prec=prec if a.prec is None else None)
+        assert (inv.coeffs, inv.prec) == (reference_inverse(a, prec), prec)
+
+    def test_cancellation_to_zero(self, name):
+        field = KERNEL_FIELDS[name]
+        g = field.abs_gen() + 1
+        a = LaurentSeries(field, {0: g, 1: g * g, 3: field.one})
+        product = a * _mirror(a)
+        assert all(e % 2 == 0 for e in product.coeffs)
+        assert (product.coeffs, product.prec) == reference_mul(a, _mirror(a))
+        # 1 + x + x^2 has inverse (1 - x)/(1 - x^3): every third term is 0
+        b = LaurentSeries(field, {0: g, 1: g, 2: g})
+        inv = b.inverse(prec=9)
+        assert sorted(inv.coeffs) == [0, 1, 3, 4, 6, 7]
+        assert inv.coeffs == reference_inverse(b, 9)

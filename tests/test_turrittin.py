@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltdirac import (DiffOperator, ExpForm, FieldHandle, LaurentSeries,
-                     companion, irregularity, lt_decompose, newton_polygon,
-                     parse_operator, ramification_index, slopes)
-from ltdirac.errors import PrecisionExhausted
-from ltdirac.turrittin import PrecisionPolicy, forms_conjugate
+                     companion, direct_sum, exp_module, irregularity,
+                     lt_decompose, newton_polygon, parse_operator,
+                     ramification_index, regular_module, slopes)
+from ltdirac.errors import InternalError, PrecisionExhausted
+from ltdirac.turrittin import (PrecisionPolicy, _cyclic_operator,
+                               forms_conjugate)
 
-from catalog import (MODULE_CATALOG, build_module, catalog_operator,
-                     rational_form)
+from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
+                     catalog_module, catalog_operator, rational_form)
 
 Q = FieldHandle.rationals()
 
@@ -69,6 +73,21 @@ class TestOperatorRoute:
             assert lt_decompose(op).total_rank == op.order()
 
 
+class TestTypedInternalChecks:
+    @pytest.mark.parametrize("expr", ["x^5*D^3 - 1", "x^4*D^3 - 1",
+                                      "x^5*D^4 - 16", "x^7*D^6 - 64"])
+    def test_split_orbit_operators(self, expr):
+        """Edge polynomials that split into Galois orbits of unequal
+        degree: the answer has the right total rank, or a typed internal
+        error is raised (also under python -O), never a wrong rank."""
+        op = parse_operator(expr)
+        try:
+            dec = lt_decompose(op)
+        except InternalError:
+            return
+        assert dec.total_rank == op.order()
+
+
 class TestMatrixRoute:
     def test_companion_agrees_with_operator(self):
         for name in ("pole-one", "ramified", "mixed"):
@@ -87,6 +106,82 @@ class TestMatrixRoute:
         mat = companion(op, 4)
         with pytest.raises(PrecisionExhausted):
             lt_decompose(mat, PrecisionPolicy(max_doublings=0))
+
+
+def _truncated_by(operator, step):
+    return [c.truncate(c.prec - step) for c in operator.coeffs]
+
+
+class TestPrecisionHonesty:
+    """The stability check derives the cyclic operator at p from the one
+    at 2p by truncating every coefficient by p; that is sound only if it
+    equals the operator the elimination at p gives."""
+
+    @pytest.mark.parametrize("name", [entry[0] for entry in OPERATOR_CATALOG])
+    def test_companion_matrices(self, name):
+        mat = companion(catalog_operator(name), 48)
+        top = mat.truncation_order()
+        for p in (top // 4, top // 2):
+            assert _truncated_by(_cyclic_operator(mat, 2 * p), p) == \
+                _cyclic_operator(mat, p).coeffs
+
+    @pytest.mark.parametrize("name", [entry[0] for entry in MODULE_CATALOG])
+    def test_direct_sums(self, name):
+        mat = catalog_module(name)
+        for p in (8 * mat.size, 16 * mat.size):
+            assert _truncated_by(_cyclic_operator(mat, 2 * p), p) == \
+                _cyclic_operator(mat, p).coeffs
+
+
+def _orbit_key(m, coeffs):
+    """A form's key up to t -> -t, the zeta-action over Q for m <= 2."""
+    items = tuple(sorted(coeffs.items()))
+    flipped = tuple((j, -c if j % 2 else c) for j, c in items)
+    return (m, min(items, flipped) if m == 2 else items)
+
+
+@st.composite
+def _pieces(draw):
+    """Pieces (m, {j: c}, rank) of a direct sum of rank at most 3 over Q
+    in distinct orbits; {} is the regular piece.  A form with m = 2 has
+    an odd exponent, so it does not descend to m = 1."""
+    pieces, size, keys = [], 0, set()
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from((1, 1, 2)))
+        if size + m > 3:
+            continue
+        c = Fraction(draw(st.integers(-9, 9).filter(bool)))
+        if m == 2:
+            coeffs = {draw(st.sampled_from((1, 3))): c}
+        else:
+            coeffs = draw(st.sampled_from(({}, {1: c}, {2: c}, {3: c})))
+        rank = draw(st.integers(1, (3 - size) // m))
+        key = _orbit_key(m, coeffs)
+        if key not in keys:
+            keys.add(key)
+            pieces.append((m, coeffs, rank))
+            size += m * rank
+    return pieces
+
+
+class TestDirectSumRoundTrip:
+    @settings(max_examples=30)
+    @given(pieces=_pieces())
+    def test_decomposes_into_its_pieces(self, pieces):
+        blocks = [regular_module(Q, rank) if not coeffs else
+                  exp_module(ExpForm(Q, m, coeffs), rank, Q)
+                  for m, coeffs, rank in pieces]
+        dec = lt_decompose(direct_sum(*blocks))
+        found = []
+        for comp in dec.components:
+            assert all(c.is_rational() for c in comp.form.coeffs.values())
+            coeffs = {j: c.as_fraction() for j, c in comp.form.coeffs.items()}
+            found.append((_orbit_key(comp.form.m, coeffs), comp.rank,
+                          comp.orbit_size))
+        expected = [(_orbit_key(m, coeffs), rank, m)
+                    for m, coeffs, rank in pieces]
+        assert sorted(found) == sorted(expected)
+        assert dec.total_rank == sum(m * rank for m, _, rank in pieces)
 
 
 class TestIrregularityOracle:
