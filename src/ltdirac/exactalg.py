@@ -6,16 +6,16 @@ Q[z]/(g) with g monic with integer coefficients (``abs_mod``).  An
 element is a tuple of integer numerators over one positive denominator:
 the descending coefficients of a polynomial in z of degree below
 deg g, in lowest terms.  Arithmetic, zero tests and hashing are plain
-integer operations.  Tower extension uses Trager's trick: shift the
-adjoined root by an integer multiple of the old primitive generator
-until the norm (a resultant over Q) is squarefree; the norm is then the
-new absolute defining polynomial.
+integer operations.  A minimal polynomial over Q is the first linear
+relation among the powers of an element (``_PowerEchelon``).  Tower
+extension uses Trager's trick: shift the adjoined root y by an integer
+multiple s of the old absolute generator until the minimal polynomial
+of the shifted root (its norm) has full degree; it is then the new
+absolute defining polynomial.
 
-sympy is used only where it does real work: factorization over Q and
-over absolute number fields, and the resultants of the Trager step and
-of absolute minimal polynomials.  Elements cross to sympy ``ANP``/``QQ``
-values at those calls only; the tower plumbing (flattening, embeddings,
-relative minimal polynomials) is done here.
+sympy is used only for factorization over Q and over absolute number
+fields, and for cyclotomic polynomials.  Elements cross to sympy
+``ANP``/``QQ`` values at those calls only.
 """
 
 from __future__ import annotations
@@ -125,33 +125,36 @@ class FieldHandle:
                                self.abs_mod, (root.num, root.den),
                                (z.num, z.den))
 
-        g_expr = _int_poly_expr(self.abs_mod, _Z)
-        # H(z, y): defining polynomial with base elements written in z
-        h_expr = sp.Integer(0)
-        for i, c in enumerate(f.coeffs):
-            h_expr += _elem_expr(c, _Z) * _Y ** (d - i)
-
-        for s in _shift_candidates():
-            shifted = h_expr.subs(_Y, _Y - s * _Z, simultaneous=True)
-            norm = sp.Poly(sp.resultant(g_expr, sp.expand(shifted), _Z),
-                           _Y, domain="QQ")
-            if norm.degree() != new_abs_degree:
-                continue
-            if sp.gcd(norm, norm.diff(_Y)).degree() == 0:
+        # gamma = y + s*u in A = self[y]/(f), u the absolute generator of
+        # self, generates A over Q exactly when its minimal polynomial,
+        # the first relation among its powers, has degree n*d
+        u = self.abs_gen()
+        one_a = [self.zero] * (d - 1) + [self.one]
+        for s in _shift_candidates(new_abs_degree):
+            echelon = _PowerEchelon(new_abs_degree)
+            power, su = one_a, u * s
+            relation = echelon.feed(*_flatten(power))
+            while relation is None:
+                power = _times_shifted_gen(power, f.coeffs, su)
+                relation = echelon.feed(*_flatten(power))
+            if len(relation) == new_abs_degree + 1:
                 break
-        else:  # pragma: no cover - finitely many bad shifts
-            raise RuntimeError("no squarefree shift found")
+        else:
+            raise InternalError("no squarefree shift found")
 
-        abs_mod, scale = _integralize(norm.monic())
+        abs_mod, scale = _integralize(relation)
         new = FieldHandle("extension", self, f, gen_name, self.degree_cap,
                           abs_mod, None, None)
-        gamma = new.abs_gen() / scale  # root of the norm
-        theta = _old_generator_image(self, h_expr, s, gamma, new)
-        beta = gamma - theta * s
+        # u = sum_i c_i gamma^i / den, and gamma = z / scale
+        c, den = echelon.express(*_flatten(one_a[:-1] + [u]))
+        top = new_abs_degree - 1
+        theta = _elem(new, [c[i] * scale ** (top - i)
+                            for i in range(top, -1, -1)], den * scale ** top)
+        beta = new.abs_gen() / scale - theta * s
         new.base_gen_abs = (theta.num, theta.den)
         new.gen_abs = (beta.num, beta.den)
         # insurance: the adjoined generator must satisfy its defining poly
-        if not _eval_tower_poly(f, new).is_zero():
+        if not f.evaluate(new.gen()).is_zero():
             raise InternalError("generator does not satisfy defining polynomial")
         return new
 
@@ -241,43 +244,28 @@ class FieldHandle:
         if self.is_rationals():
             return QQ
         if self._domain is None:
-            self._root_expr = sp.CRootOf(_int_poly_expr(self.abs_mod, _Z), 0)
+            self._root_expr = sp.CRootOf(sp.Poly(self.abs_mod, _Z), 0)
             self._domain = QQ.algebraic_field(self._root_expr)
             if self._domain.mod.to_list() != [QQ(c) for c in self.abs_mod]:
                 raise InternalError("sympy minimal polynomial disagrees")
         return self._domain
 
 
-def _shift_candidates():
+def _shift_candidates(degree):
+    """0, 1, -1, 2, -2, ...: enough shifts that one is good, since each
+    bad shift makes two of the ``degree`` conjugates of y + s*u equal."""
     yield 0
-    k = 1
-    while True:
+    for k in range(1, degree * (degree - 1) // 4 + 2):
         yield k
         yield -k
-        k += 1
 
 
-def _integralize(monic_poly):
-    """Rescale the root by an integer c so the monic polynomial has
-    integer coefficients; returns (descending tuple of ints, c)."""
-    coeffs = [sp.Rational(a) for a in monic_poly.all_coeffs()]
-    c = lcm(*(int(a.q) for a in coeffs))
-    out = [a * c ** i for i, a in enumerate(coeffs)]
-    if any(a.q != 1 for a in out):
-        raise InternalError("rescaled norm is not integral")
-    return tuple(int(a.p) for a in out), c
-
-
-def _int_poly_expr(coeffs, var):
-    """sympy expression of a descending integer coefficient list."""
-    n = len(coeffs) - 1
-    return sp.Add(*(sp.Integer(c) * var ** (n - i)
-                    for i, c in enumerate(coeffs)))
-
-
-def _elem_expr(elem, var):
-    """sympy expression of an element as a polynomial in ``var``."""
-    return _int_poly_expr(elem.num, var) / elem.den
+def _integralize(monic):
+    """Rescale the root by an integer c so the monic polynomial (descending
+    Fractions) has integer coefficients; returns (tuple of ints, c)."""
+    c = lcm(*(a.denominator for a in monic))
+    return tuple(a.numerator * (c ** i // a.denominator)
+                 for i, a in enumerate(monic)), c
 
 
 def _from_qq_list(field, coeffs):
@@ -289,62 +277,71 @@ def _from_qq_list(field, coeffs):
     return _elem(field, [0] * (n - len(num)) + num, den)
 
 
-def _old_generator_image(base, h_expr, s, gamma, new):
-    """Trager back-solve: gcd(g(z), H(z, gamma - s z)) is linear z - theta."""
-    g_coeffs = [new.element(c) for c in base.abs_mod]
-    # H(z, gamma - s*z) as a polynomial in z over the new field
-    poly_h = sp.Poly(sp.expand(h_expr.subs(_Y, _Y - s * _Z, simultaneous=True)),
-                     _Z, _Y, domain="QQ")
-    h_coeffs = {}
-    for (dz, dy), coeff in poly_h.terms():
-        val = gamma ** dy * new.element(coeff)
-        h_coeffs[dz] = h_coeffs.get(dz, new.zero) + val
-    max_dz = max(h_coeffs) if h_coeffs else 0
-    h_list = [h_coeffs.get(d, new.zero) for d in range(max_dz, -1, -1)]
-    lin = _poly_gcd(g_coeffs, h_list)
-    if len(lin) != 2:
-        raise InternalError("Trager gcd is not linear")
-    return -(lin[1] / lin[0])
+def _times_shifted_gen(power, f, shift):
+    """power * (y + shift) in K[y]/(f): descending y-coefficients, f monic."""
+    top = power[0]
+    rest = power[1:] + [shift.field.zero]
+    return [nxt - top * fk + shift * c
+            for nxt, fk, c in zip(rest, f[1:], power)]
 
 
-def _poly_trim(coeffs):
-    i = 0
-    while i < len(coeffs) and coeffs[i].is_zero():
-        i += 1
-    return coeffs[i:]
+def _flatten(elems):
+    """Integer coordinates of a list of elements over one denominator."""
+    den = lcm(*(e.den for e in elems))
+    return [x * (den // e.den) for e in elems for x in e.num], den
 
 
-def _poly_rem(a, b):
-    """Remainder of dense descending AlgElem coefficient lists; b nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    while len(a) - 1 >= db and a:
-        if a[0].is_zero():
-            a.pop(0)
-            continue
-        factor = a[0] / lb
-        for i in range(db + 1):
-            a[i] = a[i] - factor * b[i]
-        a.pop(0)
-    return _poly_trim(a)
+class _PowerEchelon:
+    """Fraction-free echelon form of the powers 1, a, a^2, ... of an element.
 
+    Each power arrives as integer coordinates over a positive denominator.
+    A row is those coordinates followed by the combination of the powers
+    it is built from, so the row of the k-th power starts as [w | den e_k].
+    A new row is reduced by the pivot rows in order, each step divided
+    exactly by the previous pivot (Bareiss), so every entry stays an
+    integer.  A row whose coordinates vanish is a linear relation."""
 
-def _poly_gcd(a, b):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(a, b)
-    lead = a[0]
-    return [c / lead for c in a]
+    __slots__ = ("size", "rows", "pivots")
 
+    def __init__(self, size):
+        self.size = size  # number of coordinates, so at most size rows
+        self.rows = []
+        self.pivots = []  # the pivot column of each row
 
-def _eval_tower_poly(f, ext_field):
-    """Evaluate a UniPoly over ext_field.base at the new generator."""
-    acc = ext_field.zero
-    gen = ext_field.gen()
-    for c in f.coeffs:
-        acc = acc * gen + ext_field.embed(c)
-    return acc
+    def _reduce(self, row):
+        prev = 1
+        for pivot_row, col in zip(self.rows, self.pivots):
+            p, x = pivot_row[col], row[col]
+            row = [(v * p - x * r) // prev for v, r in zip(row, pivot_row)]
+            prev = p
+        return row
+
+    def feed(self, num, den):
+        """Hold the next power num/den.  Returns None while the powers are
+        independent, else the first monic relation among them as descending
+        Fractions: the minimal polynomial of the element."""
+        n, k = self.size, len(self.rows)
+        row = list(num) + [0] * (n + 1)
+        row[n + k] = den
+        row = self._reduce(row)
+        col = next((j for j in range(n) if row[j]), None)
+        if col is None:
+            lead = row[n + k]
+            return [Fraction(row[n + i], lead) for i in range(k, -1, -1)]
+        self.rows.append(row)
+        self.pivots.append(col)
+        return None
+
+    def express(self, num, den):
+        """The vector num/den as a combination of the powers held: ascending
+        numerators over one denominator."""
+        n = self.size
+        row = self._reduce(list(num) + [0] * (n + 1))
+        if any(row[:n]):
+            raise InternalError("vector outside the span of the powers")
+        # the vector entered once and was scaled by the last pivot
+        last = self.rows[-1][self.pivots[-1]]
+        return [-row[n + i] for i in range(len(self.rows))], last * den
 
 
 def _elem(field, num, den):
@@ -728,8 +725,6 @@ class UniPoly:
         return _join_terms(terms)
 
 
-
-
 # -- factorization and minimal polynomials ---------------------------
 
 
@@ -775,27 +770,27 @@ def minimal_poly(a, over=None):
     if not field.contains_field(over):
         raise NotASubfield(f"{over!r} does not occur in the tower of {field!r}")
 
-    mu_q = _absolute_minpoly(a)
-    if over.is_rationals():
-        return mu_q.map_to(over)
-
-    lifted = UniPoly(over, [over.element(c.as_fraction()) for c in mu_q.coeffs])
-    for fac, _ in poly_factor(lifted):
+    mu_q = _absolute_minpoly(a, over)
+    # [K(a):Q] is a multiple of both deg mu_q and [K:Q]; when these are
+    # coprime, mu_q stays irreducible over K
+    if gcd(mu_q.degree(), over.abs_degree) == 1:
+        return mu_q
+    for fac, _ in poly_factor(mu_q):
         if fac.evaluate(a).is_zero():
             return fac
     raise InternalError("no factor annihilates the element")
 
 
-def _absolute_minpoly(a):
-    """Minimal polynomial over Q via the norm resultant, squarefree part."""
-    rationals = FieldHandle.rationals(a.field.degree_cap)
-    if a.is_rational():
-        return UniPoly(rationals, [1, -a.as_fraction()])
-    g_expr = _int_poly_expr(a.field.abs_mod, _Z)
-    norm = sp.Poly(sp.resultant(g_expr, _Y - _elem_expr(a, _Z), _Z),
-                   _Y, domain="QQ")
-    sqfree = sp.quo(norm, sp.gcd(norm, norm.diff(_Y))).monic()
-    return UniPoly(rationals, sqfree.all_coeffs())
+def _absolute_minpoly(a, over):
+    """Minimal polynomial of ``a`` over Q, with its coefficients in ``over``:
+    the first linear relation among 1, a, a^2, ..."""
+    echelon = _PowerEchelon(a.field.abs_degree)
+    power = a.field.one
+    relation = echelon.feed(power.num, power.den)
+    while relation is None:
+        power = power * a
+        relation = echelon.feed(power.num, power.den)
+    return UniPoly(over, relation)
 
 
 def primitive_element(field):

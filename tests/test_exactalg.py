@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.polyclasses import ANP
 
+from ltdirac import as_invariant, exactalg, lt_decompose, parse_operator
 from ltdirac.errors import (DegreeCapExceeded, InternalError, NotASubfield,
                             ZeroPolynomial)
 from ltdirac.exactalg import (FieldHandle, UniPoly, minimal_poly, poly_factor,
@@ -107,6 +109,32 @@ class TestMinimalPoly:
         with pytest.raises(NotASubfield):
             minimal_poly(F.gen(), over=other)
 
+    def test_coprime_degree_skips_factoring(self, monkeypatch):
+        # cube roots of 2 over Q(sqrt 2), rationals over Q(cbrt 2): the
+        # degree over Q is prime to [K:Q], so mu_Q stays irreducible over K
+        k2 = quadratic_field(2, "s")
+        F = k2.extend(UniPoly(k2, [1, 0, 0, -2]), "c")
+        c3 = Q.extend(UniPoly(Q, [1, 0, 0, -2]), "c")
+        cases = [(F.gen(), k2), (F.gen() * F.gen() + 1, k2),
+                 (c3.element(Fraction(5, 3)), c3), (F.element(-7), k2)]
+        # the factoring path: the factor of mu_Q over K that kills a
+        expected = []
+        for a, over in cases:
+            lifted = minimal_poly(a).map_to(over)
+            expected.append(next(fac for fac, _ in poly_factor(lifted)
+                                 if fac.evaluate(a).is_zero()))
+
+        def no_factoring(f):
+            raise AssertionError("poly_factor called")
+
+        monkeypatch.setattr(exactalg, "poly_factor", no_factoring)
+        for (a, over), want in zip(cases, expected):
+            assert minimal_poly(a, over=over) == want
+        assert minimal_poly(F.gen(), over=k2).degree() == 3
+        # sqrt 2 over Q(sqrt 2): degrees 2 and 2 share a factor
+        with pytest.raises(AssertionError):
+            minimal_poly(F.embed(k2.gen()), over=k2)
+
 
 class TestPrimitiveElement:
     def test_rationals(self):
@@ -156,7 +184,7 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError):
             Q.extend(UniPoly(Q, [1, 0, -4]), "two")  # y^2-4 reducible
 
-    def test_internal_checks_raise_typed_errors(self):
+    def test_internal_checks_raise_typed_errors(self, monkeypatch):
         # a hand-built field whose modulus y^2-4 is reducible: sympy's
         # field of its first root disagrees, and 2+z has no inverse
         bogus = FieldHandle("extension", Q, None, "w", 16, (1, 0, -4),
@@ -165,6 +193,18 @@ class TestFieldArithmetic:
             bogus.sympy_domain()
         with pytest.raises(InternalError):
             (bogus.gen() + 2).inverse()
+        # a vector outside the span of the powers held
+        echelon = exactalg._PowerEchelon(2)
+        assert echelon.feed([0, 1], 1) is None
+        with pytest.raises(InternalError):
+            echelon.express([1, 0], 1)
+        # Q(sqrt 2)(sqrt 3) rejects the shift 0; with no other shift left
+        # the Trager step fails typed
+        monkeypatch.setattr(exactalg, "_shift_candidates",
+                            lambda degree: iter([0]))
+        k2 = quadratic_field(2, "s")
+        with pytest.raises(InternalError):
+            k2.extend(UniPoly(k2, [1, 0, -3]), "u")
 
 
 # -- differential test against sympy's ANP arithmetic ------------------
@@ -253,3 +293,119 @@ class TestAgainstSympyANP:
             assert hash(a) == hash(b)
         n = field.absolute_degree()
         assert (a.key() < b.key()) == (_anp_key(pa, n) < _anp_key(pb, n))
+
+
+# -- the echelon-of-powers kernel against sympy resultants ---------------
+
+
+def _tower16():
+    k8 = _tower8()
+    return k8.extend(UniPoly(k8, [1, 0, -7]), "x")
+
+
+MINPOLY_FIELDS = dict(DIFF_FIELDS, tower16=_tower16())
+
+
+def _resultant_minpoly(a):
+    """Minimal polynomial over Q as the squarefree part of the norm
+    Res_z(g(z), y - a(z)), as descending Fractions."""
+    z, y = sp.symbols("z y")
+    n = a.field.absolute_degree()
+    g = sp.Add(*(c * z ** (n - i) for i, c in enumerate(a.field.abs_mod)))
+    expr = sp.Add(*(c * z ** (n - 1 - i) for i, c in enumerate(a.num)))
+    norm = sp.Poly(sp.resultant(g, y - expr / a.den, z), y, domain="QQ")
+    sqfree = sp.quo(norm, sp.gcd(norm, norm.diff(y))).monic()
+    return [Fraction(int(c.p), int(c.q)) for c in sqfree.all_coeffs()]
+
+
+_big = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                    max_denominator=10 ** 6)
+
+
+@st.composite
+def _minpoly_elements(draw, field):
+    """Generic, large, rational and proper-subfield elements of ``field``."""
+    kind = draw(st.sampled_from(["generic", "big", "rational", "subfield"]))
+    if kind == "rational":
+        return field.element(draw(_big))
+    source = field
+    if kind == "subfield":
+        source = draw(st.sampled_from(field.tower_chain()[1:] or [field]))
+    coords = st.lists(_big if kind == "big" else _ratios,
+                      min_size=source.absolute_degree(),
+                      max_size=source.absolute_degree())
+    z = source.abs_gen()
+    elem = source.zero
+    for c in draw(coords):
+        elem = elem * z + c
+    return field.embed(elem)
+
+
+@pytest.mark.parametrize("name", sorted(MINPOLY_FIELDS))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_minimal_poly_against_resultant(name, data):
+    field = MINPOLY_FIELDS[name]
+    a = data.draw(_minpoly_elements(field))
+    mu = minimal_poly(a)
+    assert [c.as_fraction() for c in mu.coeffs] == _resultant_minpoly(a)
+    assert field.absolute_degree() % mu.degree() == 0
+
+
+# field data of towers, as computed by the resultant-based Trager step
+# (norm of f(y - s*u), gcd back-solve) that the kernel replaced
+PINNED_TOWERS = {
+    # s = 0 is rejected: y + 0*u is sqrt 3, of degree 2 over Q
+    "sqrt2-sqrt3": (
+        (lambda c: [1, 0, -2], lambda c: [1, 0, -3]),
+        (1, 0, -10, 0, 1), ((-1, 0, 11, 0), 2), ((1, 0, -9, 0), 2)),
+    "cbrt2-sqrt(c+1)": (
+        (lambda c: [1, 0, 0, -2], lambda c: [1, 0, -c - 1]),
+        (1, 0, -3, 0, 3, 0, -3), ((0, 0, 0, 0, 1, 0), 1),
+        ((0, 0, 0, 1, 0, -1), 1)),
+    "i-cbrt(i+1)": (
+        (lambda c: [1, 0, 1], lambda c: [1, 0, 0, -c - 1]),
+        (1, 0, 0, -2, 0, 0, 2), ((0, 0, 0, 0, 1, 0), 1),
+        ((0, 0, 1, 0, 0, -1), 1)),
+    "sqrt2-cubic": (
+        (lambda c: [1, 0, -2], lambda c: [1, 0, c / 3, Fraction(1, 2)]),
+        (1, 0, 0, 46656, -373248, 0, 544195584), ((0, 0, 0, 0, 1, 0), 36),
+        ((1, 0, 0, 23328, -373248, 0), 10077696)),
+    "sqrt2-sqrt3-sqrt5-sqrt7": (
+        tuple(lambda c, p=p: [1, 0, -p] for p in (2, 3, 5, 7)),
+        (1, 0, -136, 0, 6476, 0, -141912, 0, 1513334, 0, -7453176, 0,
+         13950764, 0, -5596840, 0, 46225),
+        ((-9664, 0, 1312971, 0, -62415590, 0, 1364453637, 0, -14506584148,
+          0, 71310531461, 0, -134848883302, 0, 61001033035, 0), 2078310400),
+        ((9664, 0, -1312971, 0, 62415590, 0, -1364453637, 0, 14506584148,
+          0, -71310531461, 0, 134848883302, 0, -58922722635, 0),
+         2078310400)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TOWERS))
+def test_trager_field_data_pinned(name):
+    steps, abs_mod, gen_abs, base_gen_abs = PINNED_TOWERS[name]
+    field = Q
+    for step in steps:  # each step's coefficients may use the last generator
+        field = field.extend(UniPoly(field, step(field.gen())), "g")
+    assert field.abs_mod == abs_mod
+    assert field.gen_abs == gen_abs
+    assert field.base_gen_abs == base_gen_abs
+
+
+def test_sympy_used_only_for_factoring(monkeypatch):
+    def no_resultant(*args, **kwargs):
+        raise AssertionError("sympy resultant called")
+
+    monkeypatch.setattr(sp, "resultant", no_resultant)
+    monkeypatch.setattr(sp.polys.polytools, "resultant", no_resultant)
+    tower = _tower8()
+    assert minimal_poly(tower.gen() + tower.abs_gen()).degree() == 8
+    assert minimal_poly(tower.gen(), over=tower.base).degree() == 2
+    k2 = quadratic_field(2, "s")
+    field = k2.extend(UniPoly(k2, [1, 0, 0, -3]), "u")
+    assert field.absolute_degree() == 6
+    op = parse_operator("x^4*D^3 - 22", k2)
+    dec = lt_decompose(op)
+    assert as_invariant(dec, Fraction(4, 3)).total_degree() > 0
