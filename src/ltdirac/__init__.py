@@ -18,10 +18,10 @@ from .invariant import (ClosedPoint, DiracDivisor, RIndex, as_invariant,
                         as_invariant_nk, base_change, bracket_values,
                         descend, omega_at, omega_below)
 from .parsing import parse_operator, render_operator
-from .puiseux import ExpForm, XDegree, c_r, deg_x, parse_form, subst_zeta, t_r
+from .puiseux import ExpForm, c_r, deg_x, parse_form, subst_zeta, t_r
 from .series import LaurentSeries
 from .turrittin import (LTComponent, LTDecomposition, PrecisionPolicy,
-                        irregularity, lt_decompose, ramification_index)
+                        irregularity, lt_decompose)
 
 __version__ = "0.1.0"
 
@@ -30,13 +30,12 @@ __all__ = [
     "DilatedChart", "DiracDivisor", "ExpForm", "FieldHandle",
     "LTComponent", "LTDecomposition", "LTDiracError", "LaurentSeries",
     "NewtonPolygon", "PrecisionPolicy", "RIndex", "UniPoly",
-    "XDegree", "as_invariant", "as_invariant_nk", "base_change",
-    "bracket_values", "c_r", "companion", "coordinate_scale", "deg_x",
-    "descend", "dilated_chart", "direct_sum", "exp_module",
-    "irregularity", "lt_decompose", "minimal_poly", "newton_polygon",
-    "omega_at", "omega_below", "parse_form", "parse_operator",
-    "poly_factor", "primitive_element", "push_forward",
-    "ramification_index", "ramify", "regular_module", "render_operator",
-    "restrict_scalars", "slopes", "subst_zeta", "t_r",
+    "as_invariant", "as_invariant_nk", "base_change", "bracket_values",
+    "c_r", "companion", "coordinate_scale", "deg_x", "descend",
+    "dilated_chart", "direct_sum", "exp_module", "irregularity",
+    "lt_decompose", "minimal_poly", "newton_polygon", "omega_at",
+    "omega_below", "parse_form", "parse_operator", "poly_factor",
+    "primitive_element", "push_forward", "ramify", "regular_module",
+    "render_operator", "restrict_scalars", "slopes", "subst_zeta", "t_r",
     "transport_coefficient", "twist",
 ]

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .diffop import slopes
-from .errors import LTDiracError, ParseError, exit_code_for
+from .errors import InternalError, LTDiracError, ParseError, exit_code_for
 from .exactalg import DEFAULT_DEGREE_CAP, FieldHandle, UniPoly
 from .invariant import as_invariant, as_invariant_nk
 from .parsing import parse_operator, render_operator
@@ -204,6 +204,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: one line on stderr, no traceback
+        error = InternalError(" ".join(f"{type(exc).__name__}: {exc}".split()))
+        print(f"error [{error.code}]: {error}", file=sys.stderr)
+        return exit_code_for(error)
     if spec.fmt == "text":
         print(_render_text(report))
     else:

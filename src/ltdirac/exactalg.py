@@ -14,8 +14,8 @@ of the shifted root (its norm) has full degree; it is then the new
 absolute defining polynomial.
 
 sympy is used only for factorization over Q and over absolute number
-fields, and for cyclotomic polynomials.  Elements cross to sympy
-``ANP``/``QQ`` values at those calls only.
+fields (``poly_factor``, through ``sympy_domain``).  Elements cross to
+sympy ``ANP``/``QQ`` values at those calls only.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ _Z = sp.Symbol("z")
 _Y = sp.Symbol("y")
 
 DEFAULT_DEGREE_CAP = 16
-
-#: cap used for scratch fields built during conjugacy tests; these are
-#: internal and transient, so the user-facing cap does not apply
-INTERNAL_CAP = 4096
 
 
 def _ratio(value):
@@ -70,7 +66,7 @@ class FieldHandle:
     __slots__ = (
         "kind", "base", "defining_poly", "gen_name", "degree_cap",
         "abs_mod", "abs_degree", "gen_abs", "base_gen_abs",
-        "zero", "one", "_domain", "_root_expr",
+        "zero", "one", "_domain",
     )
 
     def __init__(self, kind, base, defining_poly, gen_name, degree_cap,
@@ -87,7 +83,6 @@ class FieldHandle:
         self.zero = AlgElem(self, (0,) * n, 1)
         self.one = AlgElem(self, (0,) * (n - 1) + (1,), 1)
         self._domain = None
-        self._root_expr = None
 
     # -- construction ------------------------------------------------
 
@@ -244,10 +239,14 @@ class FieldHandle:
         if self.is_rationals():
             return QQ
         if self._domain is None:
-            self._root_expr = sp.CRootOf(sp.Poly(self.abs_mod, _Z), 0)
-            self._domain = QQ.algebraic_field(self._root_expr)
-            if self._domain.mod.to_list() != [QQ(c) for c in self.abs_mod]:
-                raise InternalError("sympy minimal polynomial disagrees")
+            # handing sympy the modulus with the root spares it from
+            # recomputing the minimal polynomial of the root, which took
+            # most of the time of building the domain
+            mod = sp.Poly(self.abs_mod, _Z)
+            if not mod.is_irreducible:
+                raise InternalError("field modulus is not irreducible")
+            root = sp.AlgebraicNumber((mod, sp.CRootOf(mod, 0)))
+            self._domain = QQ.algebraic_field(root)
         return self._domain
 
 
@@ -729,37 +728,45 @@ class UniPoly:
 
 
 def poly_factor(f):
-    """Monic irreducible factors with multiplicities, canonically sorted."""
+    """Monic irreducible factors with multiplicities, canonically sorted.
+
+    A polynomial with rational coefficients is factored over Q first: a
+    factor whose degree is prime to [K:Q] stays irreducible over K (the
+    field of one of its roots has degree over Q divisible by both), so
+    only the other factors go through factorization over K."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     field = f.field
-    if f.degree() == 0:
-        return []
-    if field.is_rationals():
-        expr = sp.Poly([sp.Rational(c.num[0], c.den) for c in f.coeffs],
+    if f.degree() < 2:
+        return [(f.monic(), 1)] if f.degree() == 1 else []
+    if all(c.is_rational() for c in f.coeffs):
+        expr = sp.Poly([sp.Rational(c.num[-1], c.den) for c in f.coeffs],
                        _Y, domain="QQ")
-        _, factors = expr.factor_list()
         out = []
-        for fac, mult in factors:
-            coeffs = [field.element(c) for c in fac.monic().all_coeffs()]
-            out.append((UniPoly(field, coeffs), mult))
-        out.sort(key=lambda fm: fm[0].key())
-        return out
+        for fac, mult in expr.factor_list()[1]:
+            h = UniPoly(field, [field.element(c)
+                                for c in fac.monic().all_coeffs()])
+            if gcd(h.degree(), field.abs_degree) == 1:
+                out.append((h, mult))
+            else:
+                out += [(g, mult) for g, _ in _factor_over_field(h)]
+    else:
+        out = _factor_over_field(f)
+    out.sort(key=lambda fm: fm[0].key())
+    return out
 
-    dom = field.sympy_domain()
+
+def _factor_over_field(f):
+    """poly_factor over a number field, by sympy."""
+    field = f.field
     mod = [QQ(c) for c in field.abs_mod]
     sym_coeffs = [ANP([QQ(x, c.den) for x in c.num], mod, QQ)
                   for c in f.coeffs]
-    poly = sp.Poly(sym_coeffs, _Y, domain=dom)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        elems = [_from_qq_list(field, c.to_list() if isinstance(c, ANP)
-                               else [c])
-                 for c in fac.rep.to_list()]
-        out.append((UniPoly(field, elems).monic(), mult))
-    out.sort(key=lambda fm: fm[0].key())
-    return out
+    poly = sp.Poly(sym_coeffs, _Y, domain=field.sympy_domain())
+    return [(UniPoly(field, [_from_qq_list(field, c.to_list()
+                                           if isinstance(c, ANP) else [c])
+                             for c in fac.rep.to_list()]).monic(), mult)
+            for fac, mult in poly.factor_list()[1]]
 
 
 def minimal_poly(a, over=None):
@@ -814,57 +821,3 @@ def primitive_element(field):
     to_simple = lambda e: AlgElem(simple, e.num, e.den)  # noqa: E731
     from_simple = lambda e: AlgElem(field, e.num, e.den)  # noqa: E731
     return g, simple, to_simple, from_simple
-
-
-# -- embeddings and roots (used by orbit bookkeeping) ----------------
-
-
-def roots_in_field(f):
-    """All roots of a UniPoly that lie in its own coefficient field."""
-    roots = []
-    for fac, mult in poly_factor(f):
-        if fac.degree() == 1:
-            roots.extend([-fac.coeffs[-1]] * mult)
-    return roots
-
-
-def k_embeddings(src, over, target):
-    """Embeddings of src into target over the common subfield ``over``,
-    as callables on AlgElem; only embeddings with image inside target."""
-    mu = minimal_poly(src.abs_gen(), over)
-    lifted = mu.map_to(target)
-    return [lambda elem, rho=rho: elem.substitute(rho)
-            for rho in sorted(roots_in_field(lifted), key=lambda e: e.key())]
-
-
-def adjoin_factor_root(field, poly, gen_name):
-    """Extend by a root of the canonically-first irreducible factor."""
-    factors = poly_factor(poly.map_to(field))
-    fac = factors[0][0]
-    if fac.degree() == 1:
-        return field, -fac.coeffs[-1]
-    ext = field.extend(fac, gen_name, _trusted=True)
-    return ext, ext.gen()
-
-
-def with_root_of_unity(field, m):
-    """A field over ``field`` containing a primitive m-th root of unity."""
-    if m <= 2:
-        zeta = field.element(1 if m == 1 else -1)
-        return field, zeta
-    rationals = FieldHandle.rationals(INTERNAL_CAP)
-    cyc = sp.Poly(sp.cyclotomic_poly(m, _Y), _Y, domain="QQ")
-    cyc_poly = UniPoly(rationals, cyc.all_coeffs())
-    scratch = _with_cap(field, INTERNAL_CAP)
-    ext, zeta = adjoin_factor_root(scratch, cyc_poly.map_to(scratch), "zeta")
-    return ext, zeta
-
-
-def _with_cap(field, cap):
-    """A copy of the field tower with a different degree cap."""
-    if field.degree_cap >= cap:
-        return field
-    clone = FieldHandle(field.kind, field.base, field.defining_poly,
-                        field.gen_name, cap, field.abs_mod,
-                        field.gen_abs, field.base_gen_abs)
-    return clone

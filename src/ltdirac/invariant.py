@@ -4,8 +4,9 @@ For r = k/n > 1 the output is a divisor on the affine line over the
 base field K, in the dual fiber coordinate y: the origin receives the
 squared ranks of all components of x-degree < r-1 (counted
 geometrically, regular part included), and each component of x-degree
-exactly r-1 contributes its leading coefficients c, moved to the points
-(1-r)*c and descended to closed points over K.
+exactly r-1 contributes the leading coefficients c of its orbit, moved
+to the points (1-r)*c: the irreducible factors over K of one polynomial
+(``bracket_values``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from math import gcd
 from .errors import (DegreeMismatch, InternalError, NonIntegralDescent,
                      RNotAboveOne, Unsupported)
 from .exactalg import UniPoly, minimal_poly, poly_factor
-from .puiseux import ExpForm, c_r, deg_x
-from .turrittin import LTComponent, LTDecomposition, _merge_orbits
+from .puiseux import c_r, deg_x
+from .turrittin import LTDecomposition, lt_decompose
 
 
 class ClosedPoint:
@@ -142,7 +143,7 @@ def omega_at(dec, s):
     s = Fraction(s)
     if s <= 0:
         raise ValueError("degree threshold must be positive")
-    return [c for c in dec.components if deg_x(c.form).value == s]
+    return [c for c in dec.components if deg_x(c.form) == s]
 
 
 def omega_below(dec, s):
@@ -152,35 +153,42 @@ def omega_below(dec, s):
         raise ValueError("degree threshold must be positive")
     out = []
     for c in dec.components:
-        d = deg_x(c.form).value
+        d = deg_x(c.form)
         if d is None or d < s:
             out.append(c)
     return out
 
 
-def bracket_values(comp, r):
-    """Leading coefficients of the orbit, moved by c -> (1-r)*c.
+def bracket_values(comp, r, field):
+    """The closed points over ``field`` of the leading coefficients of the
+    orbit moved by c -> (1-r)*c, as (monic irreducible factor, weight of
+    each of its roots) pairs.
 
-    Returned as (value, weight) pairs: each stored leaf contributes its
-    own value once, with weight equal to the number of coefficient
-    conjugates it stands for.  Total weight = orbit_size; the conjugates
-    of a value share its minimal polynomial, which is all the descent
-    step consumes.
+    With r - 1 = j/m in the form's t, the orbit moves c = c_{r-1} by
+    coefficient conjugation and by zeta^(-j), zeta^m = 1, which runs over
+    the e-th roots of unity, e = m/gcd(m, j).  So the moved values are
+    the roots of mu(Y^e), mu the minimal polynomial of ((1-r)*c)^e over
+    ``field``, and each of them is reached by orbit_size/(e*deg mu) forms.
     """
     r = Fraction(r)
-    if deg_x(comp.form).value != r - 1:
+    form = comp.form
+    if deg_x(form) != r - 1:
         raise DegreeMismatch(
-            f"component has x-degree {deg_x(comp.form).value}, "
-            f"expected {r - 1}")
-    scale = 1 - r
-    out = []
-    for form, sigma in comp.leaves:
-        c = c_r(form, r - 1)
-        value = c * c.field.element(scale)
-        if value.is_zero():
-            raise InternalError("vanishing leading coefficient")
-        out.append((value, sigma))
-    return out
+            f"component has x-degree {deg_x(form)}, expected {r - 1}")
+    e = form.m // gcd(form.m, max(form.coeffs))
+    value = c_r(form, r - 1) * (1 - r)
+    if value.is_zero():
+        raise InternalError("vanishing leading coefficient")
+    mu = minimal_poly(value ** e, field)
+    weight, rest = divmod(comp.orbit_size, e * mu.degree())
+    if rest:
+        raise InternalError("orbit size is not a multiple of the value count")
+    if e == 1:
+        return [(mu, weight)]
+    spread = [mu.coeffs[0]]
+    for c in mu.coeffs[1:]:
+        spread += [field.zero] * (e - 1) + [c]
+    return [(fac, weight) for fac, _ in poly_factor(UniPoly(field, spread))]
 
 
 # -- descent and assembly --------------------------------------------
@@ -214,15 +222,15 @@ def as_invariant(dec, r):
     if r <= 1:
         raise RNotAboveOne(f"formula requires r > 1, got {r}")
     field = dec.base_field
-    geom = []
+    entries = []
     origin_mass = sum(c.orbit_size * c.rank ** 2
                       for c in omega_below(dec, r - 1))
     if origin_mass:
-        geom.append((field.zero, origin_mass))
+        entries.append((ClosedPoint.origin(field), origin_mass))
     for comp in omega_at(dec, r - 1):
-        for value, weight in bracket_values(comp, r):
-            geom.append((value, weight * comp.rank ** 2))
-    return descend(geom, field)
+        for fac, weight in bracket_values(comp, r, field):
+            entries.append((ClosedPoint(fac), weight * comp.rank ** 2))
+    return DiracDivisor(field, entries)
 
 
 def as_invariant_nk(dec, n, k):
@@ -243,10 +251,13 @@ def as_invariant_nk(dec, n, k):
 
 
 def base_change(obj, ext):
+    """Extension of scalars to ``ext``, any field whose tower contains the
+    base field; a decomposition is recomputed over ``ext`` from the
+    operator it keeps."""
     if isinstance(obj, DiracDivisor):
         return _divisor_base_change(obj, ext)
     if isinstance(obj, LTDecomposition):
-        return _decomposition_base_change(obj, ext)
+        return lt_decompose(obj.operator.map_to(ext))
     raise TypeError(f"cannot base-change {type(obj).__name__}")
 
 
@@ -259,40 +270,3 @@ def _divisor_base_change(div, ext):
                     "repeated factor of an irreducible polynomial")
             entries.append((ClosedPoint(fac), mult))
     return DiracDivisor(ext, entries)
-
-
-def _decomposition_base_change(dec, ext):
-    if not dec.base_field.is_rationals():
-        raise Unsupported(
-            "base change of decompositions starts from the rationals")
-    leaves = []
-    for comp in dec.components:
-        for form, sigma in comp.leaves:
-            for new_form, degree in _leaf_base_change(form, sigma, ext):
-                leaves.append((new_form, comp.rank, degree))
-    components = _merge_orbits(leaves, ext)
-    return LTDecomposition(ext, components)
-
-
-def _leaf_base_change(form, sigma, ext):
-    """Split one leaf along the factorization of its coefficient tower
-    over the extension field; yields (form over a tower above ext,
-    relative degree)."""
-    tower = form.field
-    if sigma == 1 or tower.absolute_degree() == 1:
-        yield form.map_to(ext) if tower.absolute_degree() == 1 else form, sigma
-        return
-    defining = UniPoly(ext, list(tower.abs_mod))
-    total = 0
-    for idx, (fac, _) in enumerate(poly_factor(defining)):
-        if fac.degree() == 1:
-            target, root = ext, -fac.coeffs[-1]
-        else:
-            target = ext.extend(fac, f"b{idx}", _trusted=True)
-            root = target.gen()
-        coeffs = {j: c.substitute(root) for j, c in form.coeffs.items()}
-        yield ExpForm(target, form.m, coeffs), fac.degree()
-        total += fac.degree()
-    if total != sigma:
-        raise InternalError(
-            "factor degrees do not sum to the leaf degree")

@@ -157,28 +157,11 @@ class ExpForm:
         return f"{joined} ; m={self.m}"
 
 
-class XDegree:
-    """Degree in x of a form: a nonnegative rational, or None for zero."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        if isinstance(other, XDegree):
-            return self.value == other.value
-        return self.value == other
-
-    def __repr__(self):
-        return f"XDegree({self.value})"
-
-
 def deg_x(form):
     """Largest j/m over the support; None for the zero form."""
     if form.is_zero():
-        return XDegree(None)
-    return XDegree(Fraction(max(form.coeffs), form.m))
+        return None
+    return Fraction(max(form.coeffs), form.m)
 
 
 def t_r(form, r):
@@ -249,4 +232,4 @@ def require_degree(form, r):
     """Assert deg_x(form) == r, raising DegreeMismatch otherwise."""
     if deg_x(form) != _as_fraction(r):
         raise DegreeMismatch(
-            f"form has x-degree {deg_x(form).value}, expected {r}")
+            f"form has x-degree {deg_x(form)}, expected {r}")

@@ -1,16 +1,20 @@
 """Decomposition of a differential module into exponential components.
 
 Given an operator or a connection matrix over K((x)), compute the list
-of exponential forms w (over a splitting tower, after ramification
-t^m = x) with their regular ranks n_w, grouped into orbits under the
-combined action of coefficient conjugation and t -> zeta*t.
+of exponential forms w (over a number-field tower, in t with t^m = x)
+with their regular ranks, one form per orbit under the combined action
+of coefficient conjugation and t -> zeta*t.
 
-The algorithm is the rational Newton polygon recursion: ramify by the
-lcm of the slope denominators, factor each edge polynomial over the
-current coefficient field, adjoin one root per irreducible factor,
-twist the operator by the candidate leading monomial and recurse on the
-strictly smaller slopes.  Each recursion leaf carries one coefficient-
-conjugacy orbit; leaves related by t -> zeta*t are merged afterwards.
+The algorithm is the rational Newton step (van Hoeij, JSC 24, 1997).
+An edge of slope a/q (lowest terms) has edge polynomial E(T^q); factor
+E over the current field and adjoin one root beta per irreducible
+factor.  The substitution x = lambda*u^q with lambda = (q^q*beta)^k,
+k*a = 1 (mod q), gives an edge of integer slope a whose polynomial has
+the root gamma = (q^q*beta)^((1-a*k)/q) in K(beta), so no q-th root is
+adjoined.  Twist by gamma*u^(-a-1) and recurse on the strictly smaller
+slopes over K(beta).  Each recursion leaf is then exactly one orbit, of
+size the product of q*deg(factor) along its path, and its
+representative in t is built once, at the leaf.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from math import gcd
 
 from .diffop import ConnectionMatrix, DiffOperator, newton_polygon
 from .errors import InternalError, PrecisionExhausted, PrecisionTooLow
-from .exactalg import (FieldHandle, UniPoly, k_embeddings, poly_factor,
-                       roots_in_field, with_root_of_unity)
+from .exactalg import UniPoly, poly_factor
 from .puiseux import ExpForm, deg_x
 from .series import LaurentSeries
 
@@ -40,19 +43,17 @@ class PrecisionPolicy:
 class LTComponent:
     """One orbit of exponential forms with its regular rank.
 
-    ``orbit_size`` counts the geometric conjugates of the stored
-    representative under coefficient conjugation and t -> zeta*t
-    together.  ``leaves`` keeps the merged (form, conjugacy degree)
-    pairs; they are needed to enumerate leading coefficients later.
+    ``orbit_size`` counts the geometric conjugates of the representative
+    ``form`` under coefficient conjugation over the base field and
+    t -> zeta*t together.
     """
 
-    __slots__ = ("form", "rank", "orbit_size", "leaves")
+    __slots__ = ("form", "rank", "orbit_size")
 
-    def __init__(self, form, rank, orbit_size, leaves=None):
+    def __init__(self, form, rank, orbit_size):
         self.form = form
         self.rank = rank
         self.orbit_size = orbit_size
-        self.leaves = leaves if leaves is not None else [(form, orbit_size)]
 
     def signature(self):
         return (self.form.key(), self.rank, self.orbit_size)
@@ -63,15 +64,21 @@ class LTComponent:
 
 
 class LTDecomposition:
-    __slots__ = ("base_field", "components", "ram_index", "total_rank")
+    """The components over ``base_field`` together with the operator they
+    were computed from (for a matrix, its frozen cyclic operator), which
+    base change decomposes again over the larger field."""
 
-    def __init__(self, base_field, components):
+    __slots__ = ("base_field", "components", "operator", "ram_index",
+                 "total_rank")
+
+    def __init__(self, base_field, components, operator):
         components = sorted(
             components,
-            key=lambda c: (deg_x(c.form).value is not None,
-                           deg_x(c.form).value or 0, c.form.key()))
+            key=lambda c: (deg_x(c.form) is not None, deg_x(c.form) or 0,
+                           c.form.key()))
         self.base_field = base_field
         self.components = components
+        self.operator = operator
         self.ram_index = _lcm_all(c.form.m for c in components) if components else 1
         self.total_rank = sum(c.orbit_size * c.rank for c in components)
 
@@ -102,17 +109,11 @@ def _lcm_all(values):
     return out
 
 
-def ramification_index(dec):
-    """Least m such that every form of the decomposition lives in
-    t = x^(1/m)."""
-    return dec.ram_index
-
-
 def irregularity(dec):
     """Sum of x-degrees over all geometric exponential components."""
     total = Fraction(0)
     for c in dec.components:
-        d = deg_x(c.form).value
+        d = deg_x(c.form)
         if d is not None:
             total += Fraction(c.orbit_size) * c.rank * d
     return total
@@ -138,106 +139,99 @@ def _decompose_operator(operator):
                           for c in operator.coeffs],
                          operator.var, operator.ram)
     base = operator.field
-    leaves = []
-    counter = [0]
-    mass = _split(exact, ExpForm.zero(base), 1, None, leaves, counter)
+    components = []
+    mass = _split(exact, ({}, 1, base.one), 1, None, components, [0])
     if mass != exact.order():
         raise InternalError("decomposition mass does not match operator order")
-    components = _merge_orbits(leaves, base)
-    return LTDecomposition(base, components)
+    return LTDecomposition(base, components, exact)
 
 
-def _split(op, acc, multiplier, bound, leaves, counter):
-    """Recurse below ``bound`` (None = no bound); returns the rank mass
-    found, measured relative to the entry multiplier."""
+def _split(op, path, multiplier, bound, out, counter):
+    """Recurse on the slopes of ``op`` below ``bound`` (None = no bound),
+    appending one component per orbit to ``out``; returns the rank mass
+    found, measured relative to the entry multiplier.
+
+    ``path`` is (terms, m, lam): the form found so far, sum c*u^(-j) for
+    {j: c} in the variable u of ``op``, with x = lam*u^m."""
     op = op.normalize()
     polygon = newton_polygon(op)
-    positive = [(s, ep) for s, _, ep in polygon.edges
-                if s > 0 and (bound is None or s < bound)]
-    q = _lcm_all(s.denominator for s, _ in positive) if positive else 1
-    if q > 1:
-        op = op.ramify(q).normalize()
-        bound = None if bound is None else bound * q
-        polygon = newton_polygon(op)
-        positive = [(s, ep) for s, _, ep in polygon.edges
-                    if s > 0 and (bound is None or s < bound)]
+    field = op.field
     mass = polygon.regular_length()
     if mass > 0:
-        leaves.append((acc, mass, multiplier))
-    for s, ep in positive:
-        if s.denominator != 1:
-            raise InternalError("fractional slope after ramification")
-        s = int(s)
-        for fac, mult in poly_factor(ep):
-            if fac.degree() == 1:
-                field2, alpha = op.field, -fac.coeffs[-1]
-                deg = 1
-            else:
-                counter[0] += 1
-                field2 = op.field.extend(fac, f"a{counter[0]}", _trusted=True)
-                alpha = field2.gen()
-                deg = fac.degree()
-            child = op.map_to(field2).gauge_shift(
-                LaurentSeries.monomial(field2, alpha, -s - 1))
-            term = ExpForm(field2, op.ram,
-                           {s: alpha * Fraction(1, s)})
-            acc2 = acc.map_to(field2) + term
-            sub = _split(child, acc2, multiplier * deg, s, leaves, counter)
+        out.append(LTComponent(_representative(field, path, counter),
+                               mass, multiplier))
+    terms, m, lam = path
+    for s, _, ep in polygon.edges:
+        if s <= 0 or (bound is not None and s >= bound):
+            continue
+        a, q = s.numerator, s.denominator
+        k = pow(a, -1, q)
+        ramified = op.ramify(q)
+        # ep(T) = E(T^q): every q-th coefficient from the top
+        for fac, mult in poly_factor(UniPoly(field, ep.coeffs[::q])):
+            field2, beta = _adjoin_root(fac, counter)
+            qb = beta * q ** q
+            lam2 = qb ** k
+            gamma = qb ** ((1 - a * k) // q)
+            child = ramified.map_to(field2)
+            if q > 1:
+                child = _dilate(child, lam2, q)
+            child = child.gauge_shift(
+                LaurentSeries.monomial(field2, gamma, -a - 1))
+            # the variable of op is lam2 * u^q in the new variable u
+            terms2 = {q * j: field2.embed(c) * lam2 ** -j
+                      for j, c in terms.items()}
+            terms2[a] = gamma * Fraction(1, a)
+            path2 = (terms2, m * q, field2.embed(lam) * lam2 ** m)
+            deg = q * fac.degree()
+            sub = _split(child, path2, multiplier * deg, a, out, counter)
             if sub != mult:
                 raise InternalError("edge factor mass mismatch")
             mass += deg * mult
     return mass
 
 
-# -- orbit merging under t -> zeta*t ---------------------------------
+def _adjoin_root(fac, counter):
+    """A root of the monic irreducible ``fac``: in its own field when
+    linear, else the generator of a new extension."""
+    if fac.degree() == 1:
+        return fac.field, -fac.coeffs[-1]
+    counter[0] += 1
+    field = fac.field.extend(fac, f"a{counter[0]}", _trusted=True)
+    return field, field.gen()
 
 
-def forms_conjugate(f1, f2, base_field):
-    """Whether two forms lie in one orbit under coefficient conjugation
-    over the base field combined with t -> zeta*t."""
-    if f1.m != f2.m:
-        return False
-    if sorted(f1.coeffs) != sorted(f2.coeffs):
-        return False
-    if f1.is_zero():
-        return True
-    m = f1.m
-    big, zeta1 = with_root_of_unity(f2.field, m)
-    embeddings = k_embeddings(f1.field, base_field, big)
-    unity = UniPoly(big, [1] + [0] * (m - 1) + [-1])
-    zetas = roots_in_field(unity) if m > 1 else [big.one]
-    for emb in embeddings:
-        for zeta in zetas:
-            if all(emb(f1.coeffs[j]) * zeta ** (-j) == big.embed(f2.coeffs[j])
-                   for j in f1.coeffs):
-                return True
-    return False
+def _dilate(op, lam, q):
+    """The ramified operator ``op`` (in v, x = v^q) after v = mu*u with
+    mu^q = lam, so that x = lam*u^q.  Its coefficient of v^e*D^j gains
+    mu^(e-j), an integer power of lam: e = j (mod q) in a ramified
+    operator."""
+    powers = {}
+    coeffs = []
+    for j, c in enumerate(op.coeffs):
+        out = {}
+        for e, x in c.coeffs.items():
+            w, rest = divmod(e - j, q)
+            if rest:
+                raise InternalError("ramified operator off its grading")
+            if w not in powers:
+                powers[w] = lam ** w
+            out[e] = x * powers[w]
+        coeffs.append(LaurentSeries(op.field, out, c.prec))
+    return DiffOperator(op.field, coeffs, op.var, op.ram)
 
 
-def _merge_orbits(leaves, base_field):
-    groups = []  # list of lists of (form, rank, sigma)
-    for leaf in leaves:
-        form = leaf[0]
-        placed = False
-        for group in groups:
-            if forms_conjugate(form, group[0][0], base_field):
-                group.append(leaf)
-                placed = True
-                break
-        if not placed:
-            groups.append([leaf])
-    components = []
-    for group in groups:
-        rank = group[0][1]
-        sigma = group[0][2]
-        if any(g[1] != rank for g in group):
-            raise InternalError("merged orbit with unequal ranks")
-        if any(g[2] != sigma for g in group):
-            raise InternalError("merged orbit with unequal conjugacy degrees")
-        rep = min((g[0] for g in group), key=lambda f: f.key())
-        components.append(LTComponent(rep, rank, sigma * len(group),
-                                      [(g[0], g[2]) for g in group]))
-    return components
+def _representative(field, path, counter):
+    """The leaf's form in t = rho*u, where rho^m = lam (so t^m = x) is a
+    root of the first least-degree factor of Y^m - lam."""
+    terms, m, lam = path
+    rho = lam
+    if m > 1:
+        binomial = UniPoly(field, [1] + [0] * (m - 1) + [-lam])
+        fac = min((f for f, _ in poly_factor(binomial)), key=UniPoly.degree)
+        field, rho = _adjoin_root(fac, counter)
+    return ExpForm(field, m,
+                   {j: field.embed(c) * rho ** j for j, c in terms.items()})
 
 
 # -- connection matrices: cyclic vector with adaptive precision -------
@@ -245,7 +239,8 @@ def _merge_orbits(leaves, base_field):
 
 def _decompose_matrix(matrix, policy):
     if matrix.size == 0:
-        return LTDecomposition(matrix.field, [])
+        return _decompose_operator(
+            DiffOperator.identity(matrix.field, matrix.var, matrix.ram))
     input_prec = matrix.truncation_order()
     start = policy.initial
     if start is None:

@@ -19,6 +19,20 @@ def rational_form(coeffs, m=1):
     return ExpForm(QQ, m, {j: Fraction(c) for j, c in coeffs.items()})
 
 
+def orbit_key(m, coeffs):
+    """A form's key up to t -> -t, the zeta-action over Q for m <= 2;
+    ``coeffs`` maps j to the rational coefficient of t^-j."""
+    items = tuple(sorted(coeffs.items()))
+    flipped = tuple((j, -c if j % 2 else c) for j, c in items)
+    return (m, min(items, flipped) if m == 2 else items)
+
+
+def rational_orbit_key(form):
+    """``orbit_key`` of a form whose coefficients are rational."""
+    return orbit_key(form.m, {j: c.as_fraction()
+                              for j, c in form.coeffs.items()})
+
+
 # name -> (expression, slopes multiset, irregularity)
 OPERATOR_CATALOG = [
     ("regular", "x*D - 5", [(Fraction(0), 1)], Fraction(0)),

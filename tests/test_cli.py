@@ -72,9 +72,8 @@ class TestExitCodes:
 
     def test_split_orbit_under_optimize(self):
         """Under python -O, where assert statements vanish, an operator
-        whose edge polynomial splits into Galois orbits of unequal degree
-        gets its true total rank 3 or the internal-error exit code, never
-        exit 0 with a wrong rank."""
+        whose ramified edge polynomial splits into Galois orbits of
+        unequal degree gets its true total rank 3 and exit code 0."""
         env = dict(os.environ)
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -83,11 +82,21 @@ class TestExitCodes:
             [sys.executable, "-O", "-m", "ltdirac.cli",
              "--op", "x^5*D^3 - 1", "--mode", "decompose"],
             capture_output=True, text=True, env=env, timeout=300)
-        if proc.returncode == 0:
-            assert json.loads(proc.stdout)["total_rank"] == 3
-        else:
-            assert proc.returncode == EXIT_CODES["internal-error"], \
-                proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["total_rank"] == 3
+        assert [c["orbit_size"] for c in report["components"]] == [3]
+
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(spec):
+            return 1 // 0
+        monkeypatch.setattr("ltdirac.cli.run", broken)
+        assert main(["--op", "x*D - 5"]) == EXIT_CODES["internal-error"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error [internal-error]: ZeroDivisionError: integer division " \
+            "or modulo by zero\n"
 
     def test_missing_operator(self, capsys):
         assert main([]) == 2

@@ -57,27 +57,30 @@ class TestSelection:
         assert len(hits) == 1 and hits[0].form.is_zero()
 
 
+def _roots(points):
+    """(root, weight) of bracket values whose closed points are rational."""
+    assert all(fac.degree() == 1 for fac, _ in points)
+    return sorted((-fac.coeffs[-1].as_fraction(), w) for fac, w in points)
+
+
 class TestBracketValues:
     def test_simple_pole(self, decs):
         comp, = omega_at(decs["pole-one"], 1)
-        values = bracket_values(comp, 2)
-        assert [(v.as_fraction(), w) for v, w in values] == [(-1, 1)]
+        assert _roots(bracket_values(comp, 2, Q)) == [(-1, 1)]
 
     def test_double_pole(self, decs):
         comp, = omega_at(decs["pole-two"], 2)
-        values = bracket_values(comp, 3)
-        assert [(v.as_fraction(), w) for v, w in values] == [(-2, 1)]
+        assert _roots(bracket_values(comp, 3, Q)) == [(-2, 1)]
 
     def test_ramified_orbit(self, decs):
         comp, = omega_at(decs["ramified"], Fraction(1, 2))
-        values = sorted((v.as_fraction(), w)
-                        for v, w in bracket_values(comp, Fraction(3, 2)))
-        assert values == [(-1, 1), (1, 1)]
+        assert _roots(bracket_values(comp, Fraction(3, 2), Q)) == \
+            [(-1, 1), (1, 1)]
 
     def test_degree_mismatch(self, decs):
         comp, = omega_at(decs["pole-one"], 1)
         with pytest.raises(DegreeMismatch):
-            bracket_values(comp, 3)
+            bracket_values(comp, 3, Q)
 
 
 class TestAsInvariant:
@@ -101,6 +104,13 @@ class TestAsInvariant:
     def test_irrational_ramified(self, decs):
         div = as_invariant(decs["ramified-irrational"], Fraction(3, 2))
         assert divisor_dict(div) == {"y^2-2": 1}
+
+    def test_split_orbit(self):
+        """The roots of y^3 + 1: one ramified orbit whose ramified edge
+        polynomial splits into factors of degree 1 and 2."""
+        dec = lt_decompose(parse_operator("x^5*D^3 - 1"))
+        assert as_invariant(dec, Fraction(5, 3)).render() == \
+            "1*(y+1) + 1*(y^2-y+1)"
 
     def test_mixed_splits_between_origin_and_point(self, decs):
         div = as_invariant(decs["mixed"], 2)
@@ -224,6 +234,14 @@ class TestBaseChange:
             lhs = base_change(as_invariant(dec, r), ext)
             rhs = as_invariant(base_change(dec, ext), r)
             assert lhs == rhs, (key, name)
+
+    def test_matrix_route_reruns_frozen_operator(self):
+        module = build_module([(rational_form({3: 2}, m=2), 1),
+                               (rational_form({}), 1)])
+        ext = Q.extend(UniPoly(Q, [1, 0, 1]), "i")
+        extended = base_change(lt_decompose(module), ext)
+        assert extended.base_field is ext
+        assert extended == lt_decompose(module.map_to(ext))
 
     def test_degree_identity(self, decs):
         ext = Q.extend(UniPoly(Q, [1, 0, 1]), "i")

@@ -1,22 +1,24 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltdirac import (DiffOperator, ExpForm, FieldHandle, LaurentSeries,
-                     companion, direct_sum, exp_module, irregularity,
-                     lt_decompose, newton_polygon, parse_operator,
-                     ramification_index, regular_module, slopes)
-from ltdirac.errors import InternalError, PrecisionExhausted
-from ltdirac.turrittin import (PrecisionPolicy, _cyclic_operator,
-                               forms_conjugate)
+                     UniPoly, as_invariant, base_change, companion, deg_x,
+                     direct_sum, exp_module, irregularity, lt_decompose,
+                     newton_polygon, parse_operator, regular_module)
+from ltdirac.errors import PrecisionExhausted
+from ltdirac.turrittin import PrecisionPolicy, _cyclic_operator
 
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
-                     catalog_module, catalog_operator, rational_form)
+                     catalog_module, catalog_operator, orbit_key,
+                     rational_form, rational_orbit_key)
 
 Q = FieldHandle.rationals()
+SQRT2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
 
 
 def single_form(dec):
@@ -42,7 +44,7 @@ class TestOperatorRoute:
         comp = single_form(dec)
         assert comp.form == rational_form({1: 2}, m=2)
         assert comp.orbit_size == 2
-        assert ramification_index(dec) == 2
+        assert dec.ram_index == 2
         assert irregularity(dec) == 1
 
     def test_ramified_irrational(self):
@@ -75,17 +77,27 @@ class TestOperatorRoute:
 
 class TestTypedInternalChecks:
     @pytest.mark.parametrize("expr", ["x^5*D^3 - 1", "x^4*D^3 - 1",
-                                      "x^5*D^4 - 16", "x^7*D^6 - 64"])
+                                      "x^5*D^4 - 16", "x^7*D^6 - 64",
+                                      "x^9*D^8 - 256", "x^11*D^10 - 64"])
     def test_split_orbit_operators(self, expr):
-        """Edge polynomials that split into Galois orbits of unequal
-        degree: the answer has the right total rank, or a typed internal
-        error is raised (also under python -O), never a wrong rank."""
+        """Ramified edge polynomials that split into Galois orbits of
+        unequal degree, all in one zeta-orbit: one component of orbit
+        size q and the right total rank."""
         op = parse_operator(expr)
-        try:
-            dec = lt_decompose(op)
-        except InternalError:
-            return
+        dec = lt_decompose(op)
         assert dec.total_rank == op.order()
+        assert [c.orbit_size for c in dec.components] == [op.order()]
+
+    def test_coupled_galois_and_zeta_orbit(self):
+        """sqrt(2)*t^-3 + t^-1 (t^2 = x): the pair (sqrt 2 -> -sqrt 2,
+        t -> -t) fixes the leading term but not the form, so the orbit has
+        4 forms and must stay one component (adjoining the leading
+        coefficient and recursing in t splits it into two of size 2)."""
+        s = SQRT2.gen()
+        module = exp_module(ExpForm(SQRT2, 2, {3: s, 1: 1}), 1, Q)
+        dec = lt_decompose(module)
+        assert [(c.rank, c.orbit_size) for c in dec.components] == [(1, 4)]
+        assert deg_x(dec.components[0].form) == Fraction(3, 2)
 
 
 class TestMatrixRoute:
@@ -133,13 +145,6 @@ class TestPrecisionHonesty:
                 _cyclic_operator(mat, p).coeffs
 
 
-def _orbit_key(m, coeffs):
-    """A form's key up to t -> -t, the zeta-action over Q for m <= 2."""
-    items = tuple(sorted(coeffs.items()))
-    flipped = tuple((j, -c if j % 2 else c) for j, c in items)
-    return (m, min(items, flipped) if m == 2 else items)
-
-
 @st.composite
 def _pieces(draw):
     """Pieces (m, {j: c}, rank) of a direct sum of rank at most 3 over Q
@@ -156,7 +161,7 @@ def _pieces(draw):
         else:
             coeffs = draw(st.sampled_from(({}, {1: c}, {2: c}, {3: c})))
         rank = draw(st.integers(1, (3 - size) // m))
-        key = _orbit_key(m, coeffs)
+        key = orbit_key(m, coeffs)
         if key not in keys:
             keys.add(key)
             pieces.append((m, coeffs, rank))
@@ -172,13 +177,9 @@ class TestDirectSumRoundTrip:
                   exp_module(ExpForm(Q, m, coeffs), rank, Q)
                   for m, coeffs, rank in pieces]
         dec = lt_decompose(direct_sum(*blocks))
-        found = []
-        for comp in dec.components:
-            assert all(c.is_rational() for c in comp.form.coeffs.values())
-            coeffs = {j: c.as_fraction() for j, c in comp.form.coeffs.items()}
-            found.append((_orbit_key(comp.form.m, coeffs), comp.rank,
-                          comp.orbit_size))
-        expected = [(_orbit_key(m, coeffs), rank, m)
+        found = [(rational_orbit_key(c.form), c.rank, c.orbit_size)
+                 for c in dec.components]
+        expected = [(orbit_key(m, coeffs), rank, m)
                     for m, coeffs, rank in pieces]
         assert sorted(found) == sorted(expected)
         assert dec.total_rank == sum(m * rank for m, _, rank in pieces)
@@ -219,26 +220,31 @@ def random_operator(rng, max_order=3, max_degree=6):
     return op
 
 
-class TestOrbits:
-    def test_zeta_conjugate_forms(self):
-        a = rational_form({1: 2}, m=2)
-        b = rational_form({1: -2}, m=2)
-        assert forms_conjugate(a, b, Q)
+@st.composite
+def _split_orbit_family(draw):
+    """x^(q+p)*D^q - c^q over Q or Q(sqrt 2): one edge of slope p/q whose
+    ramified edge polynomial T^q - (q*c)^q splits into factors of
+    unequal degree."""
+    q = draw(st.integers(2, 6))
+    p = draw(st.sampled_from([p for p in (1, 2, 3, 5) if gcd(p, q) == 1]))
+    c = draw(st.integers(1, 5))
+    field = draw(st.sampled_from((Q, SQRT2)))
+    return parse_operator(f"x^{q + p}*D^{q} - {c ** q}", field), Fraction(p, q)
 
-    def test_non_conjugate_different_coefficients(self):
-        a = rational_form({1: 2}, m=2)
-        b = rational_form({1: 3}, m=2)
-        assert not forms_conjugate(a, b, Q)
 
-    def test_even_exponent_not_zeta_movable(self):
-        a = rational_form({2: 1, 1: 1}, m=2)
-        b = rational_form({2: -1, 1: 1}, m=2)
-        assert not forms_conjugate(a, b, Q)
-
-    def test_galois_conjugates_merge(self):
-        from ltdirac import UniPoly
-        F = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
-        s = F.gen()
-        a = ExpForm(F, 1, {1: s})
-        b = ExpForm(F, 1, {1: -s})
-        assert forms_conjugate(a, b, Q)
+class TestSplitOrbitFamily:
+    @settings(max_examples=25)
+    @given(case=_split_orbit_family())
+    def test_oracles(self, case):
+        op, slope = case
+        dec = lt_decompose(op)
+        assert dec.total_rank == op.order()
+        assert irregularity(dec) == newton_polygon(op).irregularity()
+        ext = op.field.extend(UniPoly(op.field, [1, 0, 1]), "i")
+        extended = base_change(dec, ext)
+        for r in (1 + slope, 2 + slope):
+            div = as_invariant(dec, r)
+            assert div.total_degree() == sum(
+                c.orbit_size * c.rank ** 2 for c in dec.components
+                if deg_x(c.form) is None or deg_x(c.form) <= r - 1)
+            assert base_change(div, ext) == as_invariant(extended, r)
