@@ -158,10 +158,18 @@ class DiffOperator:
         return out
 
     def normalize(self):
-        """Clear a common monomial factor t^k (slopes are unaffected)."""
+        """Clear a common monomial factor t^k (slopes are unaffected).
+
+        k is the least valuation among the coefficients with a known
+        term; a coefficient that is zero to its precision is shifted
+        along, and ``newton_polygon`` judges whether its tail matters."""
         if self.is_zero():
             return self
-        shift = min(c.order() for c in self.coeffs if not c.is_zero())
+        known = [min(c.coeffs) for c in self.coeffs if c.coeffs]
+        if not known:
+            raise PrecisionTooLow(
+                "every coefficient is zero to its precision")
+        shift = min(known)
         if shift == 0:
             return self
         return DiffOperator(self.field,
@@ -248,18 +256,38 @@ def _lower_hull(points):
 
 
 def newton_polygon(operator):
-    """Polygon of a nonzero operator, in the operator's own variable."""
+    """Polygon of a nonzero operator, in the operator's own variable.
+
+    The recursion reads the polygon at height ymin up to the regular
+    vertex and along the chain of positive slopes after it, vertices and
+    edge polynomials alike.  A coefficient a_i known below x^p has its
+    unknown tail at heights >= p - i, so PrecisionTooLow is raised when
+    that tail could lie on or below the part that is read."""
     if operator.is_zero():
         raise ValueError("newton polygon of the zero operator")
-    points = {}
-    for i, a in enumerate(operator.coeffs):
-        if a.is_zero():
-            continue
-        points[i] = a.order() - i
+    points = {i: min(a.coeffs) - i
+              for i, a in enumerate(operator.coeffs) if a.coeffs}
+    if not points:
+        raise PrecisionTooLow("every coefficient is zero to its precision")
     hull = _lower_hull(points.items())
     ymin = min(y for _, y in hull)
     # rightmost support point at minimal height marks the regular mass
     i0 = max(i for i, y in points.items() if y == ymin)
+    chain = [(i, y) for i, y in hull if i >= i0]
+    for i, a in enumerate(operator.coeffs):
+        if a.prec is None:
+            continue
+        if i > chain[-1][0]:
+            raise PrecisionTooLow(
+                f"coefficient of D^{i} is zero to its precision {a.prec}")
+        height = ymin
+        for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
+            if xa < i <= xb:
+                height = ya + Fraction(yb - ya, xb - xa) * (i - xa)
+        if a.prec - i <= height:
+            raise PrecisionTooLow(
+                f"coefficient of D^{i} is known only below x^{a.prec}, "
+                f"which does not clear the polygon at height {height}")
     edges = []
     if i0 > 0:
         low = min(i for i, y in points.items() if y == ymin)
@@ -271,12 +299,9 @@ def newton_polygon(operator):
                 coeffs.append(operator.field.zero)
         poly = UniPoly(operator.field, list(reversed(coeffs)))
         edges.append((Fraction(0), i0, poly))
-    chain = [(i, y) for i, y in hull if i >= i0 and y >= ymin]
-    chain.sort()
+    # every edge after the regular vertex has positive slope
     for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
         slope = Fraction(yb - ya, xb - xa)
-        if slope <= 0:
-            continue
         coeffs = []
         for i in range(xa, xb + 1):
             target = ya + slope * (i - xa)

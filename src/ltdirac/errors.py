@@ -19,10 +19,6 @@ class NotASubfield(LTDiracError):
     code = "not-a-subfield"
 
 
-class NotRootOfUnity(LTDiracError):
-    code = "not-root-of-unity"
-
-
 class RamificationMismatch(LTDiracError):
     code = "ramification-mismatch"
 
@@ -45,10 +41,6 @@ class RNotAboveOne(LTDiracError):
 
 class Unsupported(LTDiracError):
     code = "unsupported"
-
-
-class NonIntegralDescent(LTDiracError):
-    code = "non-integral-descent"
 
 
 class ZeroUnit(LTDiracError):

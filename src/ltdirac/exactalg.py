@@ -798,26 +798,3 @@ def _absolute_minpoly(a, over):
         power = power * a
         relation = echelon.feed(power.num, power.den)
     return UniPoly(over, relation)
-
-
-def primitive_element(field):
-    """Flatten a tower into Q[z]/(g) with mutually inverse embeddings.
-
-    Returns (poly over Q, simple_field, to_simple, from_simple).  The
-    element maps are the identity on absolute representations, so the
-    round trip is exact by construction.
-    """
-    rationals = FieldHandle.rationals(field.degree_cap)
-    if field.is_rationals():
-        g = UniPoly(rationals, [1, 0])
-        identity = lambda e: e  # noqa: E731
-        return g, field, identity, identity
-    g = UniPoly(rationals, list(field.abs_mod))
-    if field.base is not None and field.base.is_rationals() \
-            and _gen_is_z(field):
-        simple = field
-    else:
-        simple = rationals.extend(g, "w", _trusted=True)
-    to_simple = lambda e: AlgElem(simple, e.num, e.den)  # noqa: E731
-    from_simple = lambda e: AlgElem(field, e.num, e.den)  # noqa: E731
-    return g, simple, to_simple, from_simple

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (DegreeMismatch, InternalError, NonIntegralDescent,
-                     RNotAboveOne, Unsupported)
+from .errors import (DegreeMismatch, InternalError, RNotAboveOne,
+                     Unsupported)
 from .exactalg import UniPoly, minimal_poly, poly_factor
 from .puiseux import c_r, deg_x
 from .turrittin import LTDecomposition, lt_decompose
@@ -103,38 +103,6 @@ class DiracDivisor:
         return f"DiracDivisor({self.render()})"
 
 
-class RIndex:
-    """A slope r > 0 stored as the reduced fraction k/n."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n, k):
-        if n < 1 or k < 1:
-            raise ValueError("n and k must be positive")
-        g = gcd(n, k)
-        self.n = n // g
-        self.k = k // g
-
-    @staticmethod
-    def from_fraction(r):
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("r must be positive")
-        return RIndex(r.denominator, r.numerator)
-
-    @property
-    def value(self):
-        return Fraction(self.k, self.n)
-
-    def __eq__(self, other):
-        if isinstance(other, RIndex):
-            return (self.n, self.k) == (other.n, other.k)
-        return self.value == other
-
-    def __repr__(self):
-        return f"RIndex({self.k}/{self.n})"
-
-
 # -- component selection ---------------------------------------------
 
 
@@ -191,29 +159,7 @@ def bracket_values(comp, r, field):
     return [(fac, weight) for fac, _ in poly_factor(UniPoly(field, spread))]
 
 
-# -- descent and assembly --------------------------------------------
-
-
-def descend(geom, field):
-    """Descend a Galois-stable weighted multiset of algebraic values to
-    a divisor of closed points over ``field``."""
-    groups = {}
-    for value, weight in geom:
-        mu = minimal_poly(value, field)
-        key = mu.key()
-        if key in groups:
-            groups[key][1] += weight
-        else:
-            groups[key] = [mu, weight]
-    entries = []
-    for mu, weight in groups.values():
-        deg = mu.degree()
-        if weight % deg:
-            raise NonIntegralDescent(
-                f"total weight {weight} not divisible by degree {deg} "
-                f"of {mu.render('y')}")
-        entries.append((ClosedPoint(mu), weight // deg))
-    return DiracDivisor(field, entries)
+# -- assembly --------------------------------------------
 
 
 def as_invariant(dec, r):

@@ -11,16 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegreeMismatch, NotRootOfUnity
-from .exactalg import AlgElem, FieldHandle, minimal_poly
-
-
-def _as_fraction(r):
-    if isinstance(r, Fraction):
-        return r
-    if isinstance(r, int):
-        return Fraction(r)
-    return Fraction(r)
+from .exactalg import AlgElem, minimal_poly
 
 
 class ExpForm:
@@ -61,7 +52,7 @@ class ExpForm:
     @staticmethod
     def monomial(field, coeff, x_degree, m=None):
         """The form c * x^(-r) written with the minimal usable m."""
-        r = _as_fraction(x_degree)
+        r = Fraction(x_degree)
         mm = r.denominator if m is None else m
         j = r * mm
         if j.denominator != 1:
@@ -164,72 +155,10 @@ def deg_x(form):
     return Fraction(max(form.coeffs), form.m)
 
 
-def t_r(form, r):
-    """The unique term of x-degree r, as a (monomial) form; else zero."""
-    r = _as_fraction(r)
-    j = r * form.m
-    if j.denominator != 1 or int(j) not in form.coeffs:
-        return ExpForm.zero(form.field)
-    return ExpForm(form.field, form.m, {int(j): form.coeffs[int(j)]})
-
-
 def c_r(form, r):
     """Coefficient of the term of x-degree r (zero when absent)."""
-    r = _as_fraction(r)
+    r = Fraction(r)
     j = r * form.m
     if j.denominator != 1:
         return form.field.zero
     return form.coeffs.get(int(j), form.field.zero)
-
-
-def subst_zeta(form, zeta):
-    """The form after t -> zeta * t, for zeta with zeta^m = 1."""
-    target = zeta.field
-    if not (zeta ** form.m == target.one):
-        raise NotRootOfUnity("zeta^m must equal 1 exactly")
-    out = {}
-    for j, c in form.coeffs.items():
-        out[j] = target.embed(c) * zeta ** (-j)
-    return ExpForm(target, form.m, out)
-
-
-# -- text round trip -------------------------------------------------
-
-
-def parse_form(text, field=None):
-    """Parse the rendering produced by ExpForm.render (rational coeffs)."""
-    if field is None:
-        field = FieldHandle.rationals()
-    body, _, mpart = text.partition(";")
-    m = 1
-    mpart = mpart.strip()
-    if mpart:
-        if not mpart.startswith("m="):
-            raise ValueError(f"bad ramification clause: {mpart!r}")
-        m = int(mpart[2:])
-    body = body.strip()
-    if body == "0":
-        return ExpForm.zero(field)
-    terms = {}
-    chunk = body.replace(" - ", " + -").split(" + ")
-    for part in chunk:
-        part = part.strip()
-        sign = 1
-        if part.startswith("-"):
-            sign = -1
-            part = part[1:]
-        coeff, _, tail = part.rpartition("*")
-        var, _, exp = tail.partition("^")
-        if var not in ("t", "x"):
-            raise ValueError(f"bad term: {part!r}")
-        j = -int(exp)
-        c = Fraction(coeff) if coeff else Fraction(1)
-        terms[j] = field.element(sign * c)
-    return ExpForm(field, m, terms)
-
-
-def require_degree(form, r):
-    """Assert deg_x(form) == r, raising DegreeMismatch otherwise."""
-    if deg_x(form) != _as_fraction(r):
-        raise DegreeMismatch(
-            f"form has x-degree {deg_x(form)}, expected {r}")

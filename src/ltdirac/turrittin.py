@@ -30,16 +30,6 @@ from .puiseux import ExpForm, deg_x
 from .series import LaurentSeries
 
 
-class PrecisionPolicy:
-    """How far the matrix route may raise its working precision."""
-
-    __slots__ = ("max_doublings", "initial")
-
-    def __init__(self, max_doublings=2, initial=None):
-        self.max_doublings = max_doublings
-        self.initial = initial
-
-
 class LTComponent:
     """One orbit of exponential forms with its regular rank.
 
@@ -65,8 +55,8 @@ class LTComponent:
 
 class LTDecomposition:
     """The components over ``base_field`` together with the operator they
-    were computed from (for a matrix, its frozen cyclic operator), which
-    base change decomposes again over the larger field."""
+    were computed from (for a matrix, its cyclic operator), which base
+    change decomposes again over the larger field."""
 
     __slots__ = ("base_field", "components", "operator", "ram_index",
                  "total_rank")
@@ -122,28 +112,27 @@ def irregularity(dec):
 # -- the Newton recursion on operators -------------------------------
 
 
-def lt_decompose(obj, policy=None):
+def lt_decompose(obj):
     """Decompose an operator or a connection matrix over its base field."""
     if isinstance(obj, DiffOperator):
         return _decompose_operator(obj)
     if isinstance(obj, ConnectionMatrix):
-        return _decompose_matrix(obj, policy or PrecisionPolicy())
+        return _decompose_matrix(obj)
     raise TypeError(f"cannot decompose {type(obj).__name__}")
 
 
 def _decompose_operator(operator):
+    """Operators with finite-precision coefficients are decomposed as
+    far as those coefficients determine the result: ``newton_polygon``
+    raises PrecisionTooLow wherever an unknown tail could matter."""
     if operator.is_zero():
         raise ValueError("cannot decompose the zero operator")
-    exact = DiffOperator(operator.field,
-                         [LaurentSeries(operator.field, c.coeffs)
-                          for c in operator.coeffs],
-                         operator.var, operator.ram)
     base = operator.field
     components = []
-    mass = _split(exact, ({}, 1, base.one), 1, None, components, [0])
-    if mass != exact.order():
+    mass = _split(operator, ({}, 1, base.one), 1, None, components, [0])
+    if mass != operator.order():
         raise InternalError("decomposition mass does not match operator order")
-    return LTDecomposition(base, components, exact)
+    return LTDecomposition(base, components, operator)
 
 
 def _split(op, path, multiplier, bound, out, counter):
@@ -237,75 +226,30 @@ def _representative(field, path, counter):
 # -- connection matrices: cyclic vector with adaptive precision -------
 
 
-def _decompose_matrix(matrix, policy):
+def _decompose_matrix(matrix):
+    """Eliminate once and decompose once per precision, doubling it from
+    4 * size * (1 + largest pole) up to four times that while the
+    recursion asks for more.  A matrix with truncated entries gets one
+    attempt, at its own precision."""
     if matrix.size == 0:
         return _decompose_operator(
             DiffOperator.identity(matrix.field, matrix.var, matrix.ram))
-    input_prec = matrix.truncation_order()
-    start = policy.initial
-    if start is None:
-        maxpole = 0
-        for row in matrix.rows:
-            for e in row:
-                if e.coeffs:
-                    maxpole = max(maxpole, -min(e.coeffs))
+    given = matrix.truncation_order()
+    if given is None:
+        maxpole = max([0] + [-min(e.coeffs) for row in matrix.rows
+                             for e in row if e.coeffs])
         start = 4 * matrix.size * (1 + maxpole)
-    if input_prec is not None:
-        # fixed supply of precision: stability is checked between the
-        # full input precision and half of it, eliminating at the larger
-        # of the two (half, for inputs shorter than 4 * size)
-        half = max(input_prec // 2, 2 * matrix.size)
+        precs = (start, 2 * start, 4 * start)
+    else:
+        precs = (given,)
+    for prec in precs:
         try:
-            if half <= input_prec:
-                at_half, at_input = _stability_pair(matrix, input_prec,
-                                                    input_prec - half)
-            else:
-                at_input, at_half = _stability_pair(matrix, half,
-                                                    half - input_prec)
+            return _decompose_operator(_cyclic_operator(matrix, prec))
         except PrecisionTooLow as exc:
-            raise PrecisionExhausted(
-                f"input matrix known only to order {input_prec}: "
-                f"{exc}") from exc
-        if at_half != at_input:
-            raise PrecisionExhausted(
-                f"decomposition not stable between orders {half} "
-                f"and {input_prec}")
-        return at_input
-
-    # each check eliminates at 2 * prec, so the last one reaches
-    # start * 2^max_doublings
-    prec = start
-    for _ in range(policy.max_doublings):
-        try:
-            low, high = _stability_pair(matrix, 2 * prec, prec)
-        except PrecisionTooLow:
-            pass
-        else:
-            if low == high:
-                return high
-        prec *= 2
+            error = exc
     raise PrecisionExhausted(
-        f"decomposition did not stabilize within "
-        f"{policy.max_doublings} precision doublings from {start}")
-
-
-def _stability_pair(matrix, prec, step):
-    """Decompositions of the cyclic operator at ``prec - step`` and at
-    ``prec``, from one elimination at ``prec``.
-
-    Series arithmetic tracks precision honestly, so when the matrix is
-    known to ``prec``, the operator at ``prec`` with every coefficient
-    truncated by ``step`` is the one the elimination at ``prec - step``
-    would give."""
-    operator = _cyclic_operator(matrix, prec)
-    field = matrix.field
-    decs = []
-    for drop in (step, 0):
-        frozen = [LaurentSeries(field, c.truncate(c.prec - drop).coeffs)
-                  for c in operator.coeffs]
-        decs.append(_decompose_operator(
-            DiffOperator(field, frozen, operator.var, matrix.ram)))
-    return decs
+        f"the recursion needs the matrix beyond order {prec}: "
+        f"{error}") from error
 
 
 def _cyclic_vectors(field, size):
@@ -346,7 +290,7 @@ def _cyclic_operator(matrix, prec):
         sol = _solve_series(rows[:size], rows[size], matrix.field)
         if sol is None:
             continue
-        coeffs = [-a for a in sol] + [LaurentSeries.one(matrix.field, prec)]
+        coeffs = [-a for a in sol] + [LaurentSeries.one(matrix.field)]
         return DiffOperator(matrix.field, coeffs, work.var, work.ram)
     raise PrecisionTooLow("no cyclic vector found at this precision")
 

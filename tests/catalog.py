@@ -2,14 +2,16 @@
 
 Two catalogs: operators (exact recursion inputs with hand-checked slope
 and divisor data) and modules built from rank-one pieces (round-trip
-inputs for the decomposition).
+inputs for the decomposition), plus ``subst_zeta`` and ``descend``,
+which list an orbit's values explicitly and give the divisor that
+``bracket_values`` is checked against.
 """
 
 from fractions import Fraction
 
-from ltdirac import (ConnectionMatrix, DiffOperator, ExpForm, FieldHandle,
-                     LaurentSeries, direct_sum, exp_module, parse_operator,
-                     regular_module)
+from ltdirac import (ClosedPoint, DiffOperator, DiracDivisor, ExpForm,
+                     FieldHandle, LaurentSeries, direct_sum, exp_module,
+                     minimal_poly, parse_operator, regular_module)
 
 QQ = FieldHandle.rationals()
 
@@ -103,3 +105,34 @@ def catalog_module(name):
 def operator_from_dicts(field, coeff_dicts):
     return DiffOperator(field,
                         [LaurentSeries(field, c) for c in coeff_dicts])
+
+
+def descend(geom, field):
+    """Descend a Galois-stable weighted multiset of algebraic values to
+    a divisor of closed points over ``field``: each value counts with
+    its weight spread over the roots of its minimal polynomial."""
+    groups = {}
+    for value, weight in geom:
+        mu = minimal_poly(value, field)
+        key = mu.key()
+        if key in groups:
+            groups[key][1] += weight
+        else:
+            groups[key] = [mu, weight]
+    entries = []
+    for mu, weight in groups.values():
+        if weight % mu.degree():
+            raise ValueError(f"total weight {weight} not divisible by "
+                             f"degree {mu.degree()} of {mu.render('y')}")
+        entries.append((ClosedPoint(mu), weight // mu.degree()))
+    return DiracDivisor(field, entries)
+
+
+def subst_zeta(form, zeta):
+    """The form after t -> zeta*t, for zeta with zeta^m = 1: the action
+    of the roots of unity that a component's orbit_size counts."""
+    field = zeta.field
+    if zeta ** form.m != field.one:
+        raise ValueError("zeta^m must equal 1")
+    return ExpForm(field, form.m, {j: field.embed(c) * zeta ** -j
+                                   for j, c in form.coeffs.items()})

@@ -12,7 +12,7 @@ import pytest
 
 from ltdirac import (DiffOperator, FieldHandle, LaurentSeries, UniPoly,
                      as_invariant, as_invariant_nk, base_change, coordinate_scale,
-                     deg_x, descend, irregularity, lt_decompose, newton_polygon,
+                     deg_x, irregularity, lt_decompose, newton_polygon,
                      parse_operator, render_operator, slopes,
                      transport_coefficient)
 from ltdirac.cli import main
@@ -22,7 +22,7 @@ from ltdirac.exactalg import minimal_poly, poly_factor
 from catalog import (FORM_1_OVER_T, FORM_1_OVER_X, FORM_2_OVER_T3,
                      FORM_3_OVER_X2, FORM_HALF_OVER_X, FORM_MINUS_1_OVER_X,
                      OPERATOR_CATALOG, build_module, catalog_operator,
-                     rational_form, rational_orbit_key)
+                     descend, rational_form, rational_orbit_key)
 
 Q = FieldHandle.rationals()
 GOLDEN = pathlib.Path(__file__).parent / "golden"

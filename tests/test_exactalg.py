@@ -6,13 +6,13 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyclasses import ANP
 
 from ltdirac import as_invariant, exactalg, lt_decompose, parse_operator
 from ltdirac.errors import (DegreeCapExceeded, InternalError, NotASubfield,
                             ZeroPolynomial)
-from ltdirac.exactalg import (FieldHandle, UniPoly, minimal_poly, poly_factor,
-                              primitive_element)
+from ltdirac.exactalg import FieldHandle, UniPoly, minimal_poly, poly_factor
 
 Q = FieldHandle.rationals()
 
@@ -134,30 +134,6 @@ class TestMinimalPoly:
         # sqrt 2 over Q(sqrt 2): degrees 2 and 2 share a factor
         with pytest.raises(AssertionError):
             minimal_poly(F.embed(k2.gen()), over=k2)
-
-
-class TestPrimitiveElement:
-    def test_rationals(self):
-        g, simple, fwd, back = primitive_element(Q)
-        assert simple.is_rationals()
-        e = Q.element(Fraction(5, 3))
-        assert back(fwd(e)) == e
-
-    def test_gauss(self):
-        F = gauss_field()
-        g, simple, fwd, back = primitive_element(F)
-        assert g == UniPoly(Q, [1, 0, 1])
-        assert back(fwd(F.gen())) == F.gen()
-
-    def test_biquadratic(self):
-        base = quadratic_field(2, "s")
-        F = base.extend(UniPoly(base, [1, 0, -3]), "u")
-        g, simple, fwd, back = primitive_element(F)
-        assert g.degree() == 4
-        for e in (F.gen(), F.embed(base.gen()), F.element(7)):
-            assert back(fwd(e)) == e
-        # the generator of the simple field satisfies g
-        assert g.evaluate(simple.gen()).is_zero()
 
 
 class TestFieldArithmetic:
@@ -308,14 +284,22 @@ MINPOLY_FIELDS = dict(DIFF_FIELDS, tower16=_tower16())
 
 def _resultant_minpoly(a):
     """Minimal polynomial over Q as the squarefree part of the norm
-    Res_z(g(z), y - a(z)), as descending Fractions."""
+    Res_z(g(z), y - a(z)), as descending Fractions.  The norm is computed
+    as the characteristic polynomial of multiplication by a(z) modulo
+    g(z) on the basis 1, z, ..., z^(n-1)."""
     z, y = sp.symbols("z y")
     n = a.field.absolute_degree()
-    g = sp.Add(*(c * z ** (n - i) for i, c in enumerate(a.field.abs_mod)))
-    expr = sp.Add(*(c * z ** (n - 1 - i) for i, c in enumerate(a.num)))
-    norm = sp.Poly(sp.resultant(g, y - expr / a.den, z), y, domain="QQ")
+    g = sp.Poly(list(a.field.abs_mod), z, domain=QQ)
+    elem = sp.Poly([QQ(c, a.den) for c in a.num], z, domain=QQ)
+    columns = []  # a(z)*z^k mod g(z), ascending in z
+    for k in range(n):
+        coeffs = (elem * sp.Poly(z ** k, z, domain=QQ)).rem(g).all_coeffs()
+        columns.append(coeffs[::-1] + [QQ(0)] * (n - len(coeffs)))
+    matrix = DomainMatrix([list(row) for row in zip(*columns)], (n, n), QQ)
+    norm = sp.Poly(matrix.charpoly(), y, domain=QQ)
     sqfree = sp.quo(norm, sp.gcd(norm, norm.diff(y))).monic()
-    return [Fraction(int(c.p), int(c.q)) for c in sqfree.all_coeffs()]
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in sqfree.all_coeffs()]
 
 
 _big = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,

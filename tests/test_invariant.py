@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from ltdirac import (DiracDivisor, FieldHandle, UniPoly, as_invariant,
-                     as_invariant_nk, base_change, bracket_values, descend,
+                     as_invariant_nk, base_change, bracket_values, c_r, deg_x,
                      lt_decompose, omega_at, omega_below, parse_operator)
-from ltdirac.errors import (DegreeMismatch, NonIntegralDescent, RNotAboveOne,
-                            Unsupported)
-from ltdirac.invariant import ClosedPoint, RIndex
+from ltdirac.errors import DegreeMismatch, RNotAboveOne, Unsupported
+from ltdirac.invariant import ClosedPoint
 
-from catalog import build_module, catalog_operator, rational_form
+from catalog import (build_module, catalog_operator, descend, rational_form,
+                     subst_zeta)
 
 Q = FieldHandle.rationals()
 
@@ -174,7 +174,7 @@ class TestDescend:
 
     def test_non_integral(self):
         F = Q.extend(UniPoly(Q, [1, 0, 1]), "i")
-        with pytest.raises(NonIntegralDescent):
+        with pytest.raises(ValueError):
             descend([(F.gen(), 1)], Q)
 
     def test_identity_on_rational_data(self):
@@ -199,6 +199,29 @@ class TestDescend:
                 expected += weight * field.absolute_degree()
             div = descend(geom, Q)
             assert div.total_degree() == expected
+
+    @pytest.mark.parametrize("name", ["pole-one", "pole-two", "ramified",
+                                      "ramified-irrational",
+                                      "quadratic-orbit", "mixed"])
+    def test_oracle_for_bracket_values(self, decs, name):
+        """as_invariant factors mu(Y^e) over Q; moving the leading
+        coefficient of every t -> zeta*t image of the form to (1-r)*c
+        explicitly (zeta = +-1: every catalog form has m <= 2) and
+        descending those values gives the same divisor."""
+        dec = decs[name]
+        for comp in dec.components:
+            if comp.form.is_zero():
+                continue
+            r = 1 + deg_x(comp.form)
+            geom = [(Q.zero, sum(c.orbit_size * c.rank ** 2
+                                 for c in omega_below(dec, r - 1)))]
+            for top in omega_at(dec, r - 1):
+                field = top.form.field
+                images = [subst_zeta(top.form, field.element(z))
+                          for z in (1, -1)[:top.form.m]]
+                weight = top.orbit_size * top.rank ** 2 // len(images)
+                geom += [(c_r(w, r - 1) * (1 - r), weight) for w in images]
+            assert as_invariant(dec, r) == descend(geom, Q), (name, r)
 
 
 class TestBaseChange:
@@ -259,16 +282,3 @@ def _lies_above(point_ext, point_base, ext):
     return any(fac == point_ext.minpoly
                for fac, _ in poly_factor(point_base.minpoly.map_to(ext)))
 
-
-class TestRIndex:
-    def test_reduction(self):
-        r = RIndex(4, 6)
-        assert (r.n, r.k) == (2, 3)
-        assert r.value == Fraction(3, 2)
-
-    def test_from_fraction(self):
-        assert RIndex.from_fraction(Fraction(6, 4)) == RIndex(2, 3)
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            RIndex(0, 1)

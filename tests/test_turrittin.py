@@ -11,7 +11,7 @@ from ltdirac import (DiffOperator, ExpForm, FieldHandle, LaurentSeries,
                      direct_sum, exp_module, irregularity, lt_decompose,
                      newton_polygon, parse_operator, regular_module)
 from ltdirac.errors import PrecisionExhausted
-from ltdirac.turrittin import PrecisionPolicy, _cyclic_operator
+from ltdirac.turrittin import _cyclic_operator
 
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
                      catalog_module, catalog_operator, orbit_key,
@@ -114,20 +114,28 @@ class TestMatrixRoute:
         assert comp.form == rational_form({1: 1}) and comp.rank == 1
 
     def test_precision_exhausted_on_starved_input(self):
-        op = catalog_operator("ramified")
-        mat = companion(op, 4)
+        mat = companion(catalog_operator("ramified"), 4)
         with pytest.raises(PrecisionExhausted):
-            lt_decompose(mat, PrecisionPolicy(max_doublings=0))
+            lt_decompose(mat)
+
+    def test_starved_input_raises_typed_error(self):
+        """Every coefficient of the cyclic operator but the leading one
+        is zero to its precision here."""
+        mat = companion(catalog_operator("quadratic-orbit"), 4)
+        with pytest.raises(PrecisionExhausted):
+            lt_decompose(mat)
 
 
 def _truncated_by(operator, step):
-    return [c.truncate(c.prec - step) for c in operator.coeffs]
+    return [c if c.prec is None else c.truncate(c.prec - step)
+            for c in operator.coeffs]
 
 
 class TestPrecisionHonesty:
-    """The stability check derives the cyclic operator at p from the one
-    at 2p by truncating every coefficient by p; that is sound only if it
-    equals the operator the elimination at p gives."""
+    """The recursion trusts every coefficient of the cyclic operator up
+    to the precision the elimination reports for it.  The operator at 2p
+    truncated by p must therefore equal the one the elimination at p
+    gives: an elimination that overstated its precision would differ."""
 
     @pytest.mark.parametrize("name", [entry[0] for entry in OPERATOR_CATALOG])
     def test_companion_matrices(self, name):
@@ -169,14 +177,17 @@ def _pieces(draw):
     return pieces
 
 
+def _direct_sum(pieces):
+    return direct_sum(*(regular_module(Q, rank) if not coeffs else
+                        exp_module(ExpForm(Q, m, coeffs), rank, Q)
+                        for m, coeffs, rank in pieces))
+
+
 class TestDirectSumRoundTrip:
     @settings(max_examples=30)
     @given(pieces=_pieces())
     def test_decomposes_into_its_pieces(self, pieces):
-        blocks = [regular_module(Q, rank) if not coeffs else
-                  exp_module(ExpForm(Q, m, coeffs), rank, Q)
-                  for m, coeffs, rank in pieces]
-        dec = lt_decompose(direct_sum(*blocks))
+        dec = lt_decompose(_direct_sum(pieces))
         found = [(rational_orbit_key(c.form), c.rank, c.orbit_size)
                  for c in dec.components]
         expected = [(orbit_key(m, coeffs), rank, m)
@@ -248,3 +259,85 @@ class TestSplitOrbitFamily:
                 c.orbit_size * c.rank ** 2 for c in dec.components
                 if deg_x(c.form) is None or deg_x(c.form) <= r - 1)
             assert base_change(div, ext) == as_invariant(extended, r)
+
+
+def _matrix_route(op, cap=64):
+    """The matrix route on companions of ``op``, doubling the companion
+    precision from 2*order until it answers; None beyond ``cap``."""
+    prec = 2 * op.order()
+    while prec <= cap:
+        try:
+            return lt_decompose(companion(op, prec))
+        except PrecisionExhausted:
+            prec *= 2
+    return None
+
+
+@st.composite
+def _differential_operators(draw):
+    """Operators over Q of order at most 4 with slope denominators up to
+    4: the split-orbit family x^(q+p)*D^q - c^q, or sparse random
+    coefficients of degree at most 6."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 4))
+        p = draw(st.sampled_from([p for p in (1, 2, 3, 5) if gcd(p, q) == 1]))
+        c = draw(st.integers(1, 5))
+        return parse_operator(f"x^{q + p}*D^{q} - {c ** q}")
+    order = draw(st.integers(1, 4))
+    values = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    coeffs = [draw(st.dictionaries(st.integers(0, 6), values,
+                                   min_size=int(i == order), max_size=3))
+              for i in range(order + 1)]
+    return DiffOperator(Q, [LaurentSeries(Q, c) for c in coeffs])
+
+
+class TestRoutesAgree:
+    @settings(max_examples=50)
+    @given(op=_differential_operators())
+    def test_operator_against_companion(self, op):
+        dec = _matrix_route(op)
+        assert dec is not None, "matrix route needs more than order 64"
+        assert dec == lt_decompose(op)
+
+
+def _perturbed(operator, tails):
+    """The operator made exact, with the terms of ``tails`` added at and
+    beyond the precision of each coefficient (the exact leading
+    coefficient stays as it is)."""
+    coeffs = []
+    for c, tail in zip(operator.coeffs, tails):
+        if c.prec is None:
+            coeffs.append(c)
+            continue
+        terms = dict(c.coeffs)
+        terms.update({c.prec + k: v for k, v in tail.items()})
+        coeffs.append(LaurentSeries(c.field, terms))
+    return DiffOperator(operator.field, coeffs, operator.var, operator.ram)
+
+
+# a term exactly at the precision, and up to two beyond it
+_tail_values = st.sampled_from((-9, -1, 1, 7))
+_tails = st.builds(lambda at, beyond: {0: at, **beyond}, _tail_values,
+                   st.dictionaries(st.integers(1, 5), _tail_values,
+                                   max_size=2))
+
+
+class TestReadPrecision:
+    """A matrix result holds for every module that agrees with the input
+    to the precision the recursion read: changing the cyclic operator at
+    and beyond the precision of each coefficient changes nothing."""
+
+    @settings(max_examples=25)
+    @given(pieces=_pieces(), data=st.data())
+    def test_direct_sums(self, pieces, data):
+        dec = lt_decompose(_direct_sum(pieces))
+        tails = [data.draw(_tails) for _ in dec.operator.coeffs]
+        assert lt_decompose(_perturbed(dec.operator, tails)) == dec
+
+    @settings(max_examples=25)
+    @given(name=st.sampled_from([entry[0] for entry in OPERATOR_CATALOG]),
+           prec=st.integers(8, 24), data=st.data())
+    def test_companions(self, name, prec, data):
+        dec = lt_decompose(companion(catalog_operator(name), prec))
+        tails = [data.draw(_tails) for _ in dec.operator.coeffs]
+        assert lt_decompose(_perturbed(dec.operator, tails)) == dec
