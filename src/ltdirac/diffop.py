@@ -433,7 +433,10 @@ def companion(operator, precision):
     one = LaurentSeries.one(field, precision)
     for k in range(d - 1):
         rows[k][k + 1] = one
-    inv_lead = lead.inverse(prec=precision - (lead.order() or 0))
+    # a_j/lead is known below the precision of 1/lead plus ord(a_j)
+    low = min((a.order() for a in operator.coeffs[:d] if not a.is_zero()),
+              default=0)
+    inv_lead = lead.inverse(prec=precision - low)
     for j in range(d):
         a = operator.coeffs[j]
         if not a.is_zero():

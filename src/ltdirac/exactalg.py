@@ -7,15 +7,14 @@ element is a tuple of integer numerators over one positive denominator:
 the descending coefficients of a polynomial in z of degree below
 deg g, in lowest terms.  Arithmetic, zero tests and hashing are plain
 integer operations.  A minimal polynomial over Q is the first linear
-relation among the powers of an element (``_PowerEchelon``).  Tower
-extension uses Trager's trick: shift the adjoined root y by an integer
-multiple s of the old absolute generator until the minimal polynomial
-of the shifted root (its norm) has full degree; it is then the new
-absolute defining polynomial.
+relation among the powers of an element (``_PowerEchelon``).
 
-sympy is used only for factorization over Q and over absolute number
-fields (``poly_factor``, through ``sympy_domain``).  Elements cross to
-sympy ``ANP``/``QQ`` values at those calls only.
+Tower extension and factoring share one norm (Trager 1976, ``_norm``):
+for a monic squarefree f over K, shift its root y by an integer multiple
+s of the absolute generator of K until y + s*z has a minimal polynomial
+over Q of full degree, the squarefree norm of f(y - s*z).  ``extend``
+takes it as the new absolute modulus; ``poly_factor`` factors it over Q,
+the only work left to sympy, which loads on the first such call.
 """
 
 from __future__ import annotations
@@ -23,24 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy as sp
-from sympy import QQ
-from sympy.polys.polyclasses import ANP
-
 from .errors import (DegreeCapExceeded, InternalError, NotASubfield,
                      ZeroPolynomial)
 
-_Z = sp.Symbol("z")
-_Y = sp.Symbol("y")
-
 DEFAULT_DEGREE_CAP = 16
-
-
-def _ratio(value):
-    """(numerator, denominator) of an int, a Fraction or a sympy rational."""
-    if isinstance(value, int):
-        return value, 1
-    return int(value.numerator), int(value.denominator)
 
 
 def _z_rep(degree):
@@ -66,7 +51,7 @@ class FieldHandle:
     __slots__ = (
         "kind", "base", "defining_poly", "gen_name", "degree_cap",
         "abs_mod", "abs_degree", "gen_abs", "base_gen_abs",
-        "zero", "one", "_domain",
+        "zero", "one",
     )
 
     def __init__(self, kind, base, defining_poly, gen_name, degree_cap,
@@ -82,7 +67,6 @@ class FieldHandle:
         self.base_gen_abs = base_gen_abs
         self.zero = AlgElem(self, (0,) * n, 1)
         self.one = AlgElem(self, (0,) * (n - 1) + (1,), 1)
-        self._domain = None
 
     # -- construction ------------------------------------------------
 
@@ -107,10 +91,8 @@ class FieldHandle:
         if new_abs_degree > self.degree_cap:
             raise DegreeCapExceeded(
                 f"absolute degree {new_abs_degree} exceeds cap {self.degree_cap}")
-        if not _trusted:
-            factors = poly_factor(f)
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise ValueError("defining polynomial is not irreducible")
+        if not _trusted and f.gcd(f.derivative()).degree() > 0:
+            raise ValueError("defining polynomial is not squarefree")
 
         if d == 1:
             # trivial extension: same absolute field, generator is -f(0)
@@ -120,28 +102,16 @@ class FieldHandle:
                                self.abs_mod, (root.num, root.den),
                                (z.num, z.den))
 
-        # gamma = y + s*u in A = self[y]/(f), u the absolute generator of
-        # self, generates A over Q exactly when its minimal polynomial,
-        # the first relation among its powers, has degree n*d
-        u = self.abs_gen()
-        one_a = [self.zero] * (d - 1) + [self.one]
-        for s in _shift_candidates(new_abs_degree):
-            echelon = _PowerEchelon(new_abs_degree)
-            power, su = one_a, u * s
-            relation = echelon.feed(*_flatten(power))
-            while relation is None:
-                power = _times_shifted_gen(power, f.coeffs, su)
-                relation = echelon.feed(*_flatten(power))
-            if len(relation) == new_abs_degree + 1:
-                break
-        else:
-            raise InternalError("no squarefree shift found")
-
+        s, echelon, relation = _norm(f)
+        # the norm is squarefree, so f is irreducible exactly when it is
+        if not _trusted and len(_factor_rational(relation)) > 1:
+            raise ValueError("defining polynomial is not irreducible")
         abs_mod, scale = _integralize(relation)
         new = FieldHandle("extension", self, f, gen_name, self.degree_cap,
                           abs_mod, None, None)
         # u = sum_i c_i gamma^i / den, and gamma = z / scale
-        c, den = echelon.express(*_flatten(one_a[:-1] + [u]))
+        u = self.abs_gen()
+        c, den = echelon.express(*_flatten([self.zero] * (d - 1) + [u]))
         top = new_abs_degree - 1
         theta = _elem(new, [c[i] * scale ** (top - i)
                             for i in range(top, -1, -1)], den * scale ** top)
@@ -204,7 +174,8 @@ class FieldHandle:
         """Coerce a rational number into this field."""
         if isinstance(value, AlgElem):
             return self.embed(value)
-        p, q = _ratio(value)
+        p, q = (value, 1) if isinstance(value, int) else \
+            (value.numerator, value.denominator)
         return _elem(self, [0] * (self.abs_degree - 1) + [p], q)
 
     def gen(self):
@@ -233,22 +204,6 @@ class FieldHandle:
     def contains_field(self, other):
         return any(fld is other or fld == other for fld in self.tower_chain())
 
-    # -- sympy boundary ----------------------------------------------
-
-    def sympy_domain(self):
-        if self.is_rationals():
-            return QQ
-        if self._domain is None:
-            # handing sympy the modulus with the root spares it from
-            # recomputing the minimal polynomial of the root, which took
-            # most of the time of building the domain
-            mod = sp.Poly(self.abs_mod, _Z)
-            if not mod.is_irreducible:
-                raise InternalError("field modulus is not irreducible")
-            root = sp.AlgebraicNumber((mod, sp.CRootOf(mod, 0)))
-            self._domain = QQ.algebraic_field(root)
-        return self._domain
-
 
 def _shift_candidates(degree):
     """0, 1, -1, 2, -2, ...: enough shifts that one is good, since each
@@ -267,13 +222,26 @@ def _integralize(monic):
                  for i, a in enumerate(monic)), c
 
 
-def _from_qq_list(field, coeffs):
-    """Element from a descending list of QQ values (a sympy ANP list)."""
-    n = field.abs_degree
-    ratios = [_ratio(c) for c in coeffs]
-    den = lcm(*(q for _, q in ratios))
-    num = [p * (den // q) for p, q in ratios]
-    return _elem(field, [0] * (n - len(num)) + num, den)
+def _norm(f):
+    """(s, echelon, relation) for a monic squarefree f of degree d over K
+    and the first shift s at which gamma = y + s*u in K[y]/(f), u the
+    absolute generator of K, has a minimal polynomial over Q (the first
+    relation among its powers, held in ``echelon``) of degree [K:Q]*d.
+    That relation is the squarefree norm of f(y - s*u)."""
+    field, coeffs = f.field, f.coeffs
+    d = len(coeffs) - 1
+    size = field.abs_degree * d
+    one_a = [field.zero] * (d - 1) + [field.one]
+    for s in _shift_candidates(size):
+        echelon = _PowerEchelon(size)
+        power, su = one_a, field.abs_gen() * s
+        relation = echelon.feed(*_flatten(power))
+        while relation is None:
+            power = _times_shifted_gen(power, coeffs, su)
+            relation = echelon.feed(*_flatten(power))
+        if len(relation) == size + 1:
+            return s, echelon, relation
+    raise InternalError("no squarefree shift found")
 
 
 def _times_shifted_gen(power, f, shift):
@@ -607,13 +575,6 @@ class UniPoly:
         self.field = field
         self.coeffs = coeffs[i:]
 
-    @staticmethod
-    def from_roots(field, roots):
-        p = UniPoly(field, [1])
-        for r in roots:
-            p = p * UniPoly(field, [1, -field.element(r)])
-        return p
-
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
@@ -682,6 +643,23 @@ class UniPoly:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(self.field, out)
 
+    def __divmod__(self, other):
+        """Quotient and remainder of the division by a nonzero other."""
+        inv, tail = other.leading().inverse(), other.coeffs[1:]
+        rem, quo = list(self.coeffs), []
+        for i in range(len(rem) - len(tail)):
+            quo.append(rem[i] * inv)
+            for j, b in enumerate(tail, i + 1):
+                rem[j] = rem[j] - quo[-1] * b
+        return UniPoly(self.field, quo), UniPoly(self.field, rem[len(quo):])
+
+    def gcd(self, other):
+        """Monic greatest common divisor; zero when both are zero."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b.monic(), divmod(a, b)[1]
+        return a if a.is_zero() else a.monic()
+
     def __pow__(self, n):
         out = UniPoly(self.field, [1])
         for _ in range(n):
@@ -740,12 +718,10 @@ def poly_factor(f):
     if f.degree() < 2:
         return [(f.monic(), 1)] if f.degree() == 1 else []
     if all(c.is_rational() for c in f.coeffs):
-        expr = sp.Poly([sp.Rational(c.num[-1], c.den) for c in f.coeffs],
-                       _Y, domain="QQ")
         out = []
-        for fac, mult in expr.factor_list()[1]:
-            h = UniPoly(field, [field.element(c)
-                                for c in fac.monic().all_coeffs()])
+        for coeffs, mult in _factor_rational([c.as_fraction()
+                                              for c in f.coeffs]):
+            h = UniPoly(field, coeffs)
             if gcd(h.degree(), field.abs_degree) == 1:
                 out.append((h, mult))
             else:
@@ -757,16 +733,50 @@ def poly_factor(f):
 
 
 def _factor_over_field(f):
-    """poly_factor over a number field, by sympy."""
+    """poly_factor over a number field K, by Trager's algorithm: with s,
+    u and the norm N of the squarefree part g of f as in ``_norm``, each
+    factor h of N over Q gives one factor gcd(g, h(y + s*u)) of g over
+    K.  Multiplicities in f come from trial division."""
     field = f.field
-    mod = [QQ(c) for c in field.abs_mod]
-    sym_coeffs = [ANP([QQ(x, c.den) for x in c.num], mod, QQ)
-                  for c in f.coeffs]
-    poly = sp.Poly(sym_coeffs, _Y, domain=field.sympy_domain())
-    return [(UniPoly(field, [_from_qq_list(field, c.to_list()
-                                           if isinstance(c, ANP) else [c])
-                             for c in fac.rep.to_list()]).monic(), mult)
-            for fac, mult in poly.factor_list()[1]]
+    f = f.monic()
+    g = divmod(f, f.gcd(f.derivative()))[0]
+    factors = [g]
+    if g.degree() > 1:
+        s, _, norm = _norm(g)
+        parts = _factor_rational(norm)
+        if len(parts) > 1:
+            su = field.abs_gen() * s
+            factors = []
+            for h, _ in parts:
+                # h(gamma) in K[y]/(g), by Horner
+                rem = [field.zero] * g.degree()
+                for c in h:
+                    rem = _times_shifted_gen(rem, g.coeffs, su)
+                    rem[-1] = rem[-1] + c
+                factors.append(g.gcd(UniPoly(field, rem)))
+    out = []
+    for p in factors:
+        mult, (quo, rem) = 0, divmod(f, p)
+        while rem.is_zero():
+            mult, f = mult + 1, quo
+            quo, rem = divmod(f, p)
+        out.append((p, mult))
+    return out
+
+
+def _factor_rational(coeffs):
+    """Monic irreducible factors over Q, with multiplicities, of the
+    polynomial with descending rational coefficients ``coeffs``; each
+    factor is a list of descending Fractions.  The only use of sympy in
+    the library, imported here so that it loads on the first call."""
+    from sympy import QQ
+    from sympy.polys.densetools import dup_monic
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(
+        [QQ(c.numerator, c.denominator) for c in coeffs], QQ)
+    return [([Fraction(int(c.numerator), int(c.denominator))
+              for c in dup_monic(fac, QQ)], mult) for fac, mult in factors]
 
 
 def minimal_poly(a, over=None):

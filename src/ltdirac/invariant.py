@@ -37,9 +37,6 @@ class ClosedPoint:
     def degree(self):
         return self.minpoly.degree()
 
-    def is_origin(self):
-        return self.minpoly.degree() == 1 and self.minpoly.coeffs[1].is_zero()
-
     def key(self):
         return (self.degree(), self.minpoly.key())
 

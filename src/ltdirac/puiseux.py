@@ -49,16 +49,6 @@ class ExpForm:
     def zero(field):
         return ExpForm(field, 1, {})
 
-    @staticmethod
-    def monomial(field, coeff, x_degree, m=None):
-        """The form c * x^(-r) written with the minimal usable m."""
-        r = Fraction(x_degree)
-        mm = r.denominator if m is None else m
-        j = r * mm
-        if j.denominator != 1:
-            raise ValueError("x-degree incompatible with ramification index")
-        return ExpForm(field, mm, {int(j): coeff})
-
     def is_zero(self):
         return not self.coeffs
 

@@ -147,9 +147,6 @@ class LaurentSeries:
         raise PrecisionTooLow(
             f"series is zero to precision {self.prec}; valuation unknown")
 
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def truncate(self, prec):
         return LaurentSeries(self.field, self.coeffs,
                              _min_prec(self.prec, prec))
@@ -286,9 +283,6 @@ class LaurentSeries:
                 q = q // gcd(q, y.den) * y.den
             out[t - v] = y
         return LaurentSeries(field, out, prec)
-
-    def divide(self, other, prec=None):
-        return self * other.inverse(prec=prec)
 
     def derivative(self):
         out = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}

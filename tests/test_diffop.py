@@ -125,6 +125,12 @@ class TestCompanion:
         with pytest.raises(PrecisionTooLow):
             companion(parse_operator("x^3*D^2 - 1"), 1)
 
+    @pytest.mark.parametrize("name", [entry[0] for entry in OPERATOR_CATALOG])
+    def test_entries_known_to_precision(self, name):
+        op = catalog_operator(name)
+        for p in (2 * op.order(), 5, 12):
+            assert companion(op, p).truncation_order() == p
+
 
 class TestConstructors:
     def test_push_forward_of_trivial_rank_one(self):

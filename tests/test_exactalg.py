@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,16 +161,22 @@ class TestFieldArithmetic:
             F.extend(UniPoly(F, [1, 0, -3]), "u")
 
     def test_irreducibility_checked(self):
-        with pytest.raises(ValueError):
-            Q.extend(UniPoly(Q, [1, 0, -4]), "two")  # y^2-4 reducible
+        k2 = quadratic_field(2, "s")
+        cases = [UniPoly(Q, [1, 0, -4]),  # y^2-4 reducible
+                 UniPoly(Q, [1, -2, 1]),  # (y-1)^2
+                 UniPoly(k2, [1, 0, -2]),  # (y-s)(y+s)
+                 UniPoly(k2, [1, 0, -10, 0, 1]),  # two quadratics
+                 UniPoly(k2, [k2.one, -k2.gen()]) ** 2,
+                 UniPoly(k2, [1, 0, -3]) ** 2]
+        for f in cases:  # a ValueError, not an InternalError
+            with pytest.raises(ValueError):
+                f.field.extend(f, "w")
 
     def test_internal_checks_raise_typed_errors(self, monkeypatch):
-        # a hand-built field whose modulus y^2-4 is reducible: sympy's
-        # field of its first root disagrees, and 2+z has no inverse
+        # a hand-built field whose modulus y^2-4 is reducible: 2+z has
+        # no inverse
         bogus = FieldHandle("extension", Q, None, "w", 16, (1, 0, -4),
                             ((1, 0), 1), ((0, 0), 1))
-        with pytest.raises(InternalError):
-            bogus.sympy_domain()
         with pytest.raises(InternalError):
             (bogus.gen() + 2).inverse()
         # a vector outside the span of the powers held
@@ -269,6 +279,89 @@ class TestAgainstSympyANP:
             assert hash(a) == hash(b)
         n = field.absolute_degree()
         assert (a.key() < b.key()) == (_anp_key(pa, n) < _anp_key(pb, n))
+
+
+# -- factoring over K against sympy's algebraic fields -------------------
+
+
+FACTOR_FIELDS = {
+    "sqrt2": quadratic_field(2, "s"),
+    "i": gauss_field(),
+    "cbrt2": Q.extend(UniPoly(Q, [1, 0, 0, -2]), "c"),
+    "tower8": _tower8(),
+}
+
+# rational polynomials that split over each field
+SPLITTING = {
+    "sqrt2": [[1, 0, -10, 0, 1], [1, 0, -8], [1, 0, -5, 0, 6]],
+    "i": [[1, 0, 1], [1, 0, 0, 0, 1], [1, 0, 0, 0, -1]],
+    "cbrt2": [[1, 0, 0, -2], [1, 0, 0, -16], [1, 0, 0, 0, 0, 0, -4]],
+    "tower8": [[1, 0, -10, 0, 1], [1, 0, -16, 0, 4], [1, 0, -30],
+               [1, 0, -7, 0, 10]],
+}
+
+
+def _sympy_factors(f):
+    """poly_factor of f by sympy's factoring over QQ.algebraic_field,
+    the field given by its absolute modulus and one root of it."""
+    field = f.field
+    mod = sp.Poly(field.abs_mod, sp.Symbol("z"))
+    domain = QQ.algebraic_field(sp.AlgebraicNumber((mod, sp.CRootOf(mod, 0))))
+    modq = [QQ(c) for c in field.abs_mod]
+    poly = sp.Poly([ANP([QQ(x, c.den) for x in c.num], modq, QQ)
+                    for c in f.coeffs], sp.Symbol("y"), domain=domain)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        coeffs = []
+        for c in fac.monic().rep.to_list():
+            elem = field.zero
+            for x in (c.to_list() if isinstance(c, ANP) else [c]):
+                elem = elem * field.abs_gen() + \
+                    Fraction(int(x.numerator), int(x.denominator))
+            coeffs.append(elem)
+        out.append((UniPoly(field, coeffs), mult))
+    return sorted(out, key=lambda fm: fm[0].key())
+
+
+@st.composite
+def _products(draw, name):
+    """A rational polynomial that splits over the field, or a product of
+    1-3 monic factors of degree <= 3 with multiplicities <= 2.  The
+    factors' degrees add up to at most 32 / [K:Q], so the norm that
+    Trager's algorithm factors over Q has degree at most 32."""
+    field = FACTOR_FIELDS[name]
+    if draw(st.booleans()):
+        return UniPoly(field, draw(st.sampled_from(SPLITTING[name])))
+    budget = 32 // field.absolute_degree()
+    small = st.integers(-3, 3)
+    f = UniPoly(field, [1])
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, min(3, budget)))
+        budget -= degree
+        coeffs = [field.one]
+        for _ in range(degree):
+            elem = field.zero
+            for c in draw(st.lists(small, min_size=field.absolute_degree(),
+                                   max_size=field.absolute_degree())):
+                elem = elem * field.abs_gen() + c
+            coeffs.append(elem)
+        f = f * UniPoly(field, coeffs) ** draw(st.integers(1, 2))
+        if budget < 1:
+            break
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_poly_factor_against_sympy(name, data):
+    f = data.draw(_products(name))
+    factors = poly_factor(f)
+    assert factors == _sympy_factors(f)
+    product = UniPoly(f.field, [1])
+    for fac, mult in factors:
+        product = product * fac ** mult
+    assert product == f.monic()
 
 
 # -- the echelon-of-powers kernel against sympy resultants ---------------
@@ -376,6 +469,26 @@ def test_trager_field_data_pinned(name):
     assert field.abs_mod == abs_mod
     assert field.gen_abs == gen_abs
     assert field.base_gen_abs == base_gen_abs
+
+
+def test_import_and_slopes_leave_sympy_unloaded():
+    """sympy loads on the first factorization over Q, so importing the
+    package and a slopes run, which factors nothing, never load it."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys, ltdirac\n"
+              "assert 'sympy' not in sys.modules\n"
+              "from ltdirac.cli import main\n"
+              "assert main(['--op', 'x^3*D^2 - 1', '--mode', 'slopes']) == 0\n"
+              "assert 'sympy' not in sys.modules\n"
+              "ltdirac.exactalg.poly_factor(ltdirac.UniPoly(\n"
+              "    ltdirac.FieldHandle.rationals(), [1, 0, -1]))\n"
+              "assert 'sympy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sympy_used_only_for_factoring(monkeypatch):

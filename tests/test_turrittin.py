@@ -114,16 +114,19 @@ class TestMatrixRoute:
         assert comp.form == rational_form({1: 1}) and comp.rank == 1
 
     def test_precision_exhausted_on_starved_input(self):
-        mat = companion(catalog_operator("ramified"), 4)
+        mat = companion(catalog_operator("ramified"), 4).truncate(2)
         with pytest.raises(PrecisionExhausted):
             lt_decompose(mat)
 
     def test_starved_input_raises_typed_error(self):
-        """Every coefficient of the cyclic operator but the leading one
-        is zero to its precision here."""
+        """Known below x^2 only, the cyclic operator's coefficient of D
+        does not clear the polygon; at order 4 the same companion
+        answers."""
         mat = companion(catalog_operator("quadratic-orbit"), 4)
+        assert lt_decompose(mat) == \
+            lt_decompose(catalog_operator("quadratic-orbit"))
         with pytest.raises(PrecisionExhausted):
-            lt_decompose(mat)
+            lt_decompose(mat.truncate(2))
 
 
 def _truncated_by(operator, step):
