@@ -15,6 +15,16 @@ s of the absolute generator of K until y + s*z has a minimal polynomial
 over Q of full degree, the squarefree norm of f(y - s*z).  ``extend``
 takes it as the new absolute modulus; ``poly_factor`` factors it over Q,
 the only work left to sympy, which loads on the first such call.
+
+Binomials are factored only when they can split.  By Capelli's theorem
+Y^m - lam is reducible over K exactly when lam is a p-th power in K for
+a prime p | m, or 4 | m and lam lies in -4K^4.  N_{K/Q}(lam), read off
+the minimal polynomial of lam, must then be a p-th power in Q (or
+(-4)^[K:Q] times a 4th power), which over Q decides the question and
+over K != Q rules most cases out; a case left open is settled by a root
+in K of Y^p - lam.  ``spread_factors`` applies the test to mu(Y^e),
+which covers the leaf binomials Y^m - lam of the Newton recursion and
+the divisor points alike.
 """
 
 from __future__ import annotations
@@ -232,7 +242,11 @@ def _norm(f):
     d = len(coeffs) - 1
     size = field.abs_degree * d
     one_a = [field.zero] * (d - 1) + [field.one]
+    # a rational f over K != Q has the norm f^[K:Q] at s = 0
+    skip_zero = field.abs_degree > 1 and all(c.is_rational() for c in coeffs)
     for s in _shift_candidates(size):
+        if s == 0 and skip_zero:
+            continue
         echelon = _PowerEchelon(size)
         power, su = one_a, field.abs_gen() * s
         relation = echelon.feed(*_flatten(power))
@@ -787,7 +801,7 @@ def minimal_poly(a, over=None):
     if not field.contains_field(over):
         raise NotASubfield(f"{over!r} does not occur in the tower of {field!r}")
 
-    mu_q = _absolute_minpoly(a, over)
+    mu_q = UniPoly(over, _absolute_minpoly(a))
     # [K(a):Q] is a multiple of both deg mu_q and [K:Q]; when these are
     # coprime, mu_q stays irreducible over K
     if gcd(mu_q.degree(), over.abs_degree) == 1:
@@ -798,13 +812,115 @@ def minimal_poly(a, over=None):
     raise InternalError("no factor annihilates the element")
 
 
-def _absolute_minpoly(a, over):
-    """Minimal polynomial of ``a`` over Q, with its coefficients in ``over``:
-    the first linear relation among 1, a, a^2, ..."""
+def _absolute_minpoly(a):
+    """Minimal polynomial of ``a`` over Q as descending Fractions: the
+    first linear relation among 1, a, a^2, ..."""
     echelon = _PowerEchelon(a.field.abs_degree)
     power = a.field.one
     relation = echelon.feed(power.num, power.den)
     while relation is None:
         power = power * a
         relation = echelon.feed(power.num, power.den)
-    return UniPoly(over, relation)
+    return relation
+
+
+def _field_norm(a):
+    """N_{K/Q}(a), K the field of ``a``: the constant term of the minimal
+    polynomial over Q, signed, to the power [K:Q(a)]."""
+    relation = _absolute_minpoly(a)
+    d = len(relation) - 1
+    return ((-1) ** d * relation[-1]) ** (a.field.abs_degree // d)
+
+
+# -- Capelli's test for binomials ------------------------------------
+
+
+def spread_factors(mu, e):
+    """Monic irreducible factors of mu(Y^e), canonically sorted, for a
+    monic irreducible mu with mu(0) != 0 over K.
+
+    mu(Y^e) is irreducible exactly when Y^e - v is irreducible over K(v),
+    v a root of mu.  For deg mu = 1, v lies in K and ``binomial_splits``
+    decides.  For k = deg mu > 1 the norm alone rules splitting out or
+    not: N_{K(v)/Q}(v) = N_{K/Q}((-1)^k mu(0)) over a field of absolute
+    degree k*[K:Q].  Only what the test cannot show irreducible is
+    factored."""
+    if e == 1:
+        return [mu]
+    field, k = mu.field, mu.degree()
+    spread = [mu.coeffs[0]]
+    for c in mu.coeffs[1:]:
+        spread += [field.zero] * (e - 1) + [c]
+    spread = UniPoly(field, spread)
+    v = mu.coeffs[-1] * (-1) ** k
+    if k == 1:
+        splits = binomial_splits(v, e)
+    else:
+        splits = bool(_capelli_cases(_field_norm(v), k * field.abs_degree, e))
+    if not splits:
+        return [spread]
+    return [fac for fac, _ in poly_factor(spread)]
+
+
+def binomial_splits(lam, m):
+    """Whether Y^m - lam is reducible over the field K of the nonzero
+    ``lam``.  By Capelli's theorem (Lang, *Algebra*, VI 9.1) it is exactly
+    when lam is a p-th power in K for a prime p | m, or 4 | m and lam lies
+    in -4K^4.  Over Q the norm is lam and ``_capelli_cases`` is exact;
+    over K != Q a case the norm leaves open is decided by a root in K of
+    the binomial of degree p it names."""
+    field = lam.field
+    for p, c in _capelli_cases(_field_norm(lam), field.abs_degree, m):
+        if field.abs_degree == 1:
+            return True
+        root_of = UniPoly(field, [field.one] + [field.zero] * (p - 1)
+                          + [-lam * c])
+        if any(fac.degree() == 1 for fac, _ in poly_factor(root_of)):
+            return True
+    return False
+
+
+def _capelli_cases(norm, degree, m):
+    """The cases (p, c) of Capelli's theorem for Y^m - v, v in a field K of
+    absolute degree ``degree`` with N_{K/Q}(v) = ``norm``, that the norm
+    leaves open: c*v a p-th power in K, for each prime p | m with c = 1
+    and, when 4 | m, p = 4 with c = -1/4 (v in -4K^4).  A case is open
+    when N(c*v) = c^degree * norm is a p-th power in Q."""
+    cases = [(p, 1) for p in _prime_divisors(m)]
+    if m % 4 == 0:
+        cases.append((4, Fraction(-1, 4)))
+    return [(p, c) for p, c in cases
+            if _is_rational_power(Fraction(c) ** degree * norm, p)]
+
+
+def _prime_divisors(m):
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def _is_rational_power(x, p):
+    """Whether the Fraction x is the p-th power of a rational number."""
+    if x < 0:
+        if p % 2 == 0:
+            return False
+        x = -x
+    return all(_iroot(n, p) ** p == n for n in (x.numerator, x.denominator))
+
+
+def _iroot(n, p):
+    """Floor of the p-th root of the integer n >= 0 (Newton's method from
+    above)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // p)
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            return x
+        x = y

@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import (DegreeMismatch, InternalError, RNotAboveOne,
                      Unsupported)
-from .exactalg import UniPoly, minimal_poly, poly_factor
+from .exactalg import UniPoly, minimal_poly, poly_factor, spread_factors
 from .puiseux import c_r, deg_x
 from .turrittin import LTDecomposition, lt_decompose
 
@@ -148,12 +148,7 @@ def bracket_values(comp, r, field):
     weight, rest = divmod(comp.orbit_size, e * mu.degree())
     if rest:
         raise InternalError("orbit size is not a multiple of the value count")
-    if e == 1:
-        return [(mu, weight)]
-    spread = [mu.coeffs[0]]
-    for c in mu.coeffs[1:]:
-        spread += [field.zero] * (e - 1) + [c]
-    return [(fac, weight) for fac, _ in poly_factor(UniPoly(field, spread))]
+    return [(fac, weight) for fac in spread_factors(mu, e)]
 
 
 # -- assembly --------------------------------------------

@@ -102,6 +102,7 @@ class _Parser:
         return self.power()
 
     def power(self):
+        kind = self.peek()[0]
         base = self.atom()
         if self.peek()[0] != "^":
             return base
@@ -111,12 +112,17 @@ class _Parser:
             self.take("-")
             sign = -1
         exp = sign * self.take("int")[1]
-        if exp < 0:
-            if not self._is_monomial_x(base):
-                raise ParseError(
-                    f"negative exponent at position {tok[2]} is only "
-                    "allowed on x", tok[2], expected=("x^-n",))
+        if kind == "x" or (exp < 0 and self._is_monomial_x(base)):
             return self._x_power(exp)
+        if exp < 0:
+            raise ParseError(
+                f"negative exponent at position {tok[2]} is only "
+                "allowed on x", tok[2], expected=("x^-n",))
+        if kind == "D":
+            return DiffOperator(self.field,
+                                [LaurentSeries.zero(self.field)] * exp
+                                + [LaurentSeries.one(self.field)])
+        # a constant or a parenthesised base
         return base ** exp
 
     def atom(self):

@@ -25,7 +25,7 @@ from math import gcd
 
 from .diffop import ConnectionMatrix, DiffOperator, newton_polygon
 from .errors import InternalError, PrecisionExhausted, PrecisionTooLow
-from .exactalg import UniPoly, poly_factor
+from .exactalg import UniPoly, poly_factor, spread_factors
 from .puiseux import ExpForm, deg_x
 from .series import LaurentSeries
 
@@ -214,11 +214,9 @@ def _representative(field, path, counter):
     """The leaf's form in t = rho*u, where rho^m = lam (so t^m = x) is a
     root of the first least-degree factor of Y^m - lam."""
     terms, m, lam = path
-    rho = lam
-    if m > 1:
-        binomial = UniPoly(field, [1] + [0] * (m - 1) + [-lam])
-        fac = min((f for f, _ in poly_factor(binomial)), key=UniPoly.degree)
-        field, rho = _adjoin_root(fac, counter)
+    fac = min(spread_factors(UniPoly(field, [field.one, -lam]), m),
+              key=UniPoly.degree)
+    field, rho = _adjoin_root(fac, counter)
     return ExpForm(field, m,
                    {j: field.embed(c) * rho ** j for j, c in terms.items()})
 

@@ -185,3 +185,34 @@ class TestRenderRoundTrip:
         for expr in ROUND_TRIP_CORPUS:
             text = render_operator(parse_operator(expr))
             assert render_operator(parse_operator(text)) == text
+
+
+class TestMonomialPowers:
+    """x^N and D^N parse to monomials; they must equal the composition
+    of N factors, and parenthesised or constant bases still compose."""
+
+    def _composed(self, factor, n):
+        out = parse_operator("1")
+        for _ in range(n):
+            out = out.compose(parse_operator(factor))
+        return out
+
+    @pytest.mark.parametrize("c, e, i", [(1, 0, 0), (3, 1, 1), (-2, 13, 8),
+                                         (5, 4, 3), (7, -3, 2)])
+    def test_c_x_e_d_i(self, c, e, i):
+        x_part = (self._composed("x", e) if e >= 0
+                  else self._composed("x^-1", -e))
+        want = parse_operator(str(c)).compose(x_part).compose(
+            self._composed("D", i))
+        assert parse_operator(f"{c}*x^{e}*D^{i}") == want
+
+    def test_parenthesised_bases(self):
+        xd = parse_operator("x*D")
+        assert parse_operator("(x*D)^3") == xd.compose(xd).compose(xd)
+        assert parse_operator("(x)^-2") == parse_operator("x^-2")
+        assert parse_operator("2^3*D") == parse_operator("8*D")
+
+    @pytest.mark.parametrize("text", ["D^-1", "(x*D)^-2", "3^-1"])
+    def test_negative_exponent_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_operator(text)

@@ -473,7 +473,9 @@ def test_trager_field_data_pinned(name):
 
 def test_import_and_slopes_leave_sympy_unloaded():
     """sympy loads on the first factorization over Q, so importing the
-    package and a slopes run, which factors nothing, never load it."""
+    package, a slopes run, which factors nothing, and an invariant run
+    over Q whose binomials Capelli's test shows irreducible never load
+    it."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -482,6 +484,9 @@ def test_import_and_slopes_leave_sympy_unloaded():
               "assert 'sympy' not in sys.modules\n"
               "from ltdirac.cli import main\n"
               "assert main(['--op', 'x^3*D^2 - 1', '--mode', 'slopes']) == 0\n"
+              "assert 'sympy' not in sys.modules\n"
+              "assert main(['--op', 'x^5*D^4 - 3', '--mode', 'invariant',\n"
+              "             '--r', '5/4']) == 0\n"
               "assert 'sympy' not in sys.modules\n"
               "ltdirac.exactalg.poly_factor(ltdirac.UniPoly(\n"
               "    ltdirac.FieldHandle.rationals(), [1, 0, -1]))\n"
@@ -506,3 +511,114 @@ def test_sympy_used_only_for_factoring(monkeypatch):
     op = parse_operator("x^4*D^3 - 22", k2)
     dec = lt_decompose(op)
     assert as_invariant(dec, Fraction(4, 3)).total_degree() > 0
+
+
+# -- Capelli's binomial test against factoring ----------------------------
+
+
+CAPELLI_FIELDS = dict(FACTOR_FIELDS, Q=Q)
+
+
+def _binomial(lam, m):
+    field = lam.field
+    return UniPoly(field, [field.one] + [field.zero] * (m - 1) + [-lam])
+
+
+@st.composite
+def _small_elements(draw, field):
+    """A nonzero element with integer coordinates in [-3, 3]."""
+    elem = field.zero
+    for c in draw(st.lists(st.integers(-3, 3),
+                           min_size=field.absolute_degree(),
+                           max_size=field.absolute_degree())):
+        elem = elem * field.abs_gen() + c
+    assume(not elem.is_zero())
+    return elem
+
+
+@st.composite
+def _capelli_inputs(draw, name):
+    """(lam, m, known_reducible): lam = beta^p for a prime p | m,
+    lam = -4*beta^4 with 4 | m, a rational lam, or a random lam.  m
+    is at most 12 and m*[K:Q] at most 32, which bounds the norm the
+    reference factoring works on."""
+    field = CAPELLI_FIELDS[name]
+    top = min(12, 32 // field.absolute_degree())
+    kind = draw(st.sampled_from(["power", "minus4", "rational", "random"]))
+    beta = draw(_small_elements(field))
+    if kind == "minus4":
+        m = 4 * draw(st.integers(1, top // 4))
+        return -4 * beta ** 4, m, True
+    m = draw(st.integers(2, top))
+    if kind == "power":
+        p = draw(st.sampled_from(exactalg._prime_divisors(m)))
+        return beta ** p, m, True
+    if kind == "rational":
+        lam = field.element(draw(st.fractions(-50, 50, max_denominator=12)))
+        assume(not lam.is_zero())
+        return lam, m, False
+    return beta, m, False
+
+
+@pytest.mark.parametrize("name", sorted(CAPELLI_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_binomial_splits_against_factoring(name, data):
+    lam, m, known_reducible = data.draw(_capelli_inputs(name))
+    splits = exactalg.binomial_splits(lam, m)
+    assert splits == (len(poly_factor(_binomial(lam, m))) > 1)
+    assert splits or not known_reducible
+
+
+@st.composite
+def _spread_inputs(draw):
+    """(mu, e): mu the minimal polynomial over Q of an element of degree
+    > 1 of Q(sqrt 2), Q(i) or Q(cbrt 2), random or a p-th power, and
+    2 <= e <= 4."""
+    field = FACTOR_FIELDS[draw(st.sampled_from(["sqrt2", "i", "cbrt2"]))]
+    beta = draw(_small_elements(field))
+    e = draw(st.integers(2, 4))
+    v = beta ** draw(st.sampled_from([1, 2, e]))
+    assume(not v.is_rational())
+    return minimal_poly(v), e
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spread_factors_against_factoring(data):
+    """The norm test for deg mu > 1 is one-way: whatever it lets through
+    is factored, so the factors always equal those of mu(Y^e)."""
+    mu, e = data.draw(_spread_inputs())
+    spread = [0] * (e * mu.degree() + 1)
+    for i, c in enumerate(mu.coeffs):
+        spread[e * i] = c
+    spread = UniPoly(Q, spread)
+    assert exactalg.spread_factors(mu, e) == [f for f, _ in poly_factor(spread)]
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "i", "tower8"])
+def test_capelli_norm_leaves_open_case_to_root_search(name, monkeypatch):
+    """Over K != Q a rational lam has the norm lam^[K:Q], a square for
+    even [K:Q], so p = 2 stays open and a root of Y^2 - lam in K decides:
+    2 is a square in Q(sqrt 2), -1 in Q(i), 6 and 15 in the tower, 3 in
+    none but the tower."""
+    field = FACTOR_FIELDS[name]
+    squares = {"sqrt2": [2, 8], "i": [-1, -4], "tower8": [6, 15, 3]}[name]
+    for c in squares:
+        assert exactalg.binomial_splits(field.element(c), 6)
+    if name != "tower8":
+        assert not exactalg.binomial_splits(field.element(3), 6)
+    # an odd prime with an odd norm exponent is ruled out without factoring
+    monkeypatch.setattr(exactalg, "poly_factor", None)
+    assert not exactalg.binomial_splits(field.element(3), 3)
+
+
+def test_spread_norm_counts_degree_of_k_v(monkeypatch):
+    """N(1 + sqrt 5) = -4 would leave v in -4Q^4 open over a field of
+    degree 1, but K(v) has degree 2, where -4*beta^4 has the norm
+    16*N(beta)^4: mu(Y^4) is irreducible with no factoring."""
+    mu = UniPoly(Q, [1, -2, -4])
+    want = [UniPoly(Q, [1, 0, 0, 0, -2, 0, 0, 0, -4])]
+    assert [f for f, _ in poly_factor(want[0])] == want
+    monkeypatch.setattr(exactalg, "poly_factor", None)
+    assert exactalg.spread_factors(mu, 4) == want

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ltdirac import (DiracDivisor, FieldHandle, UniPoly, as_invariant,
-                     as_invariant_nk, base_change, bracket_values, c_r, deg_x,
-                     lt_decompose, omega_at, omega_below, parse_operator)
+from ltdirac import (DiracDivisor, ExpForm, FieldHandle, LTComponent,
+                     UniPoly, as_invariant, as_invariant_nk, base_change,
+                     bracket_values, c_r, deg_x, exactalg, lt_decompose,
+                     omega_at, omega_below, parse_operator)
 from ltdirac.errors import DegreeMismatch, RNotAboveOne, Unsupported
 from ltdirac.invariant import ClosedPoint
 
@@ -81,6 +82,30 @@ class TestBracketValues:
         comp, = omega_at(decs["pole-one"], 1)
         with pytest.raises(DegreeMismatch):
             bracket_values(comp, 3, Q)
+
+    @pytest.mark.parametrize("modulus, value, points", [
+        # (1 + s)^2 = 3 + 2s has norm 1, and mu(Y^2) = Y^4 - 6Y^2 + 1
+        # splits as (Y^2 - 2Y - 1)(Y^2 + 2Y - 1)
+        ([1, 0, -2], lambda s: 1 + s, ["y^2-2*y-1", "y^2+2*y-1"]),
+        # a^2 = 2 + sqrt 3 has norm 1, but Y^4 - 4Y^2 + 1 is irreducible
+        ([1, 0, -4, 0, 1], lambda a: a, ["y^4-4*y^2+1"]),
+    ])
+    def test_norm_test_falls_back_to_factoring(self, modulus, value, points,
+                                               monkeypatch):
+        """deg mu = 2 with N(v) a square: the norm cannot rule splitting
+        out, so mu(Y^2) is factored once, whatever the answer."""
+        field = Q.extend(UniPoly(Q, modulus), "a")
+        r = Fraction(3, 2)
+        c = value(field.gen()) / (1 - r)
+        comp = LTComponent(ExpForm(field, 2, {1: c}), 1, 4)
+        calls = []
+        factor = exactalg.poly_factor
+        monkeypatch.setattr(exactalg, "poly_factor",
+                            lambda f: calls.append(f) or factor(f))
+        got = bracket_values(comp, r, Q)
+        assert [(fac.render(), w) for fac, w in got] == \
+            [(p, 1) for p in points]
+        assert len(calls) == 1
 
 
 class TestAsInvariant:
