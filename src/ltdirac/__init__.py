@@ -16,7 +16,7 @@ from .exactalg import AlgElem, FieldHandle, UniPoly, minimal_poly, poly_factor
 from .invariant import (ClosedPoint, DiracDivisor, as_invariant,
                         as_invariant_nk, base_change, bracket_values,
                         omega_at, omega_below)
-from .parsing import parse_operator, render_operator
+from .parsing import parse_operator
 from .puiseux import ExpForm, c_r, deg_x
 from .series import LaurentSeries
 from .turrittin import LTComponent, LTDecomposition, irregularity, lt_decompose
@@ -33,6 +33,5 @@ __all__ = [
     "exp_module", "irregularity", "lt_decompose", "minimal_poly",
     "newton_polygon", "omega_at", "omega_below", "parse_operator",
     "poly_factor", "push_forward", "ramify", "regular_module",
-    "render_operator", "restrict_scalars", "slopes",
-    "transport_coefficient", "twist",
+    "restrict_scalars", "slopes", "transport_coefficient", "twist",
 ]

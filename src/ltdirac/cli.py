@@ -16,7 +16,7 @@ from .diffop import slopes
 from .errors import InternalError, LTDiracError, ParseError, exit_code_for
 from .exactalg import DEFAULT_DEGREE_CAP, FieldHandle, UniPoly
 from .invariant import as_invariant, as_invariant_nk
-from .parsing import parse_operator, render_operator
+from .parsing import parse_operator
 from .turrittin import irregularity, lt_decompose
 
 SCHEMA_VERSION = 1
@@ -83,19 +83,19 @@ def run(spec):
     report = {
         "schema_version": SCHEMA_VERSION,
         "mode": spec.mode,
-        "operator": render_operator(operator),
+        "operator": operator.render(),
         "field": field.describe(),
     }
     if spec.mode == "slopes":
         report["slopes"] = [
-            {"slope": _frac_str(s), "multiplicity": m}
+            {"slope": str(s), "multiplicity": m}
             for s, m in slopes(operator)]
         return report
     dec = lt_decompose(operator)
     if spec.mode == "decompose":
         report["ram_index"] = dec.ram_index
         report["total_rank"] = dec.total_rank
-        report["irregularity"] = _frac_str(irregularity(dec))
+        report["irregularity"] = str(irregularity(dec))
         report["components"] = [
             {"form": c.form.render(), "rank": c.rank,
              "orbit_size": c.orbit_size}
@@ -104,21 +104,14 @@ def run(spec):
     if spec.r is not None:
         r = spec.r if isinstance(spec.r, Fraction) else _parse_r(spec.r)
         divisor = as_invariant(dec, r)
-        report["r"] = _frac_str(r)
+        report["r"] = str(r)
     else:
         divisor = as_invariant_nk(dec, spec.n, spec.k)
         report["n"] = spec.n
         report["k"] = spec.k
-        report["r"] = _frac_str(Fraction(spec.k, spec.n))
+        report["r"] = str(Fraction(spec.k, spec.n))
     report["divisor"] = divisor.serialize()
     return report
-
-
-def _frac_str(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _render_text(report):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionTooLow, RamificationMismatch
-from .exactalg import UniPoly
+from .exactalg import UniPoly, join_terms
 from .puiseux import ExpForm
 from .series import LaurentSeries
 
@@ -85,32 +85,27 @@ class DiffOperator:
 
     def compose(self, other):
         """Operator product self * other (apply other first)."""
-        result = DiffOperator.zero(self.field, self.var, self.ram)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            # a * D^i * other
-            term = other
-            for _ in range(i):
-                term = term._left_derivation()
-            result = result + term._left_multiply(a)
-        return result
+        return self._expand(other, DiffOperator._left_derivation)
 
     def _left_derivation(self):
         """D * self as an operator (product rule on coefficients)."""
-        z = LaurentSeries.zero(self.field)
-        shifted = [z] + list(self.coeffs)
-        out = []
-        for j in range(len(shifted)):
-            c = shifted[j]
-            if j < len(self.coeffs):
-                c = c + self.coeffs[j].derivative()
-            out.append(c)
-        return DiffOperator(self.field, out, self.var, self.ram)
+        shifted = [LaurentSeries.zero(self.field)] + self.coeffs
+        return DiffOperator(self.field,
+                            [a + b.derivative()
+                             for a, b in zip(shifted, self.coeffs)]
+                            + self.coeffs[-1:], self.var, self.ram)
 
-    def _left_multiply(self, series):
-        return DiffOperator(self.field, [series * c for c in self.coeffs],
-                            self.var, self.ram)
+    def _expand(self, power, step, coeff=None):
+        """Sum of coeff(a_i) * P_i over the coefficients a_i of self, with
+        P_0 = power and P_(i+1) = step(P_i): the substitution of the
+        order-one operator that ``step`` applies for D."""
+        out = DiffOperator.zero(self.field, power.var, power.ram)
+        for i, a in enumerate(self.coeffs):
+            if i:
+                power = step(power)
+            if not a.is_zero():
+                out = out + power.scale(a if coeff is None else coeff(a))
+        return out
 
     def __pow__(self, n):
         out = DiffOperator.identity(self.field, self.var, self.ram)
@@ -124,38 +119,21 @@ class DiffOperator:
         If L annihilates y and y = exp(phi) * u with phi' = shift, the
         result annihilates u.
         """
-        field = self.field
-        out = DiffOperator.zero(field, self.var, self.ram)
-        # powers of (D + shift), built iteratively
-        power = DiffOperator.identity(field, self.var, self.ram)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                out = out + power._left_multiply(a)
-            if i < len(self.coeffs) - 1:
-                power = power._next_gauge_power(shift)
-        return out
-
-    def _next_gauge_power(self, shift):
-        """(D + shift) * self."""
-        return self._left_derivation() + self._left_multiply(shift)
+        return self._expand(
+            DiffOperator.identity(self.field, self.var, self.ram),
+            lambda p: p._left_derivation() + p.scale(shift))
 
     def ramify(self, n):
         """Substitute var = u^n (u the new variable); D_var = u^(1-n)/n D_u."""
         if n == 1:
             return self
         field = self.field
-        inv_n = field.element(Fraction(1, n))
-        d_sub = DiffOperator(field, [LaurentSeries.zero(field),
-                                     LaurentSeries.monomial(field, inv_n, 1 - n)],
-                             "t", self.ram * n)
-        out = DiffOperator.zero(field, "t", self.ram * n)
-        power = DiffOperator.identity(field, "t", self.ram * n)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                out = out + power._left_multiply(a.substitute_power(n))
-            if i < len(self.coeffs) - 1:
-                power = d_sub.compose(power)
-        return out
+        factor = LaurentSeries.monomial(field, field.element(Fraction(1, n)),
+                                        1 - n)
+        return self._expand(
+            DiffOperator.identity(field, "t", self.ram * n),
+            lambda p: p._left_derivation().scale(factor),
+            lambda a: a.substitute_power(n))
 
     def normalize(self):
         """Clear a common monomial factor t^k (slopes are unaffected).
@@ -186,8 +164,6 @@ class DiffOperator:
         return f"DiffOperator({self.render()})"
 
     def render(self):
-        if self.is_zero():
-            return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
@@ -196,20 +172,15 @@ class DiffOperator:
             cs = c.render(self.var)
             if i == 0:
                 parts.append(cs)
+                continue
+            dpow = "D" if i == 1 else f"D^{i}"
+            if cs in ("1", "-1"):
+                parts.append(cs[:-1] + dpow)
+            elif "+" in cs[1:] or "-" in cs[1:]:
+                parts.append(f"({cs})*{dpow}")
             else:
-                dpow = "D" if i == 1 else f"D^{i}"
-                if cs == "1":
-                    parts.append(dpow)
-                elif cs == "-1":
-                    parts.append(f"-{dpow}")
-                elif "+" in cs[1:] or "-" in cs[1:]:
-                    parts.append(f"({cs})*{dpow}")
-                else:
-                    parts.append(f"{cs}*{dpow}")
-        body = parts[0]
-        for p in parts[1:]:
-            body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return body
+                parts.append(f"{cs}*{dpow}")
+        return join_terms(parts, " ")
 
 
 class NewtonPolygon:
@@ -518,7 +489,7 @@ def restrict_scalars(matrix, base):
     field = matrix.field
     if not base.is_rationals():
         raise NotImplementedError("restriction of scalars targets Q")
-    deg = field.absolute_degree()
+    deg = field.abs_degree
     if deg == 1:
         rows = [[LaurentSeries(base,
                                {e: base.element(c.as_fraction())

@@ -34,13 +34,8 @@ class DilatedChart:
 
     def render(self):
         r = self.r
-        rs = str(r.numerator) if r.denominator == 1 else \
-            f"({r.numerator}/{r.denominator})"
+        rs = str(r) if r.denominator == 1 else f"({r})"
         return f"{self.relation()} = 0 ; y = dx/x^{rs}"
-
-    def special_fiber_is_origin(self):
-        """At t = 0 the relation collapses to x = 0."""
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, DilatedChart):

@@ -59,14 +59,13 @@ class FieldHandle:
     """
 
     __slots__ = (
-        "kind", "base", "defining_poly", "gen_name", "degree_cap",
+        "base", "defining_poly", "gen_name", "degree_cap",
         "abs_mod", "abs_degree", "gen_abs", "base_gen_abs",
         "zero", "one",
     )
 
-    def __init__(self, kind, base, defining_poly, gen_name, degree_cap,
+    def __init__(self, base, defining_poly, gen_name, degree_cap,
                  abs_mod, gen_abs, base_gen_abs):
-        self.kind = kind
         self.base = base
         self.defining_poly = defining_poly
         self.gen_name = gen_name
@@ -83,8 +82,7 @@ class FieldHandle:
     @staticmethod
     def rationals(degree_cap=DEFAULT_DEGREE_CAP):
         zero = ((0,), 1)  # the modulus is z, so the absolute generator is 0
-        return FieldHandle("rationals", None, None, "", degree_cap,
-                           (1, 0), zero, zero)
+        return FieldHandle(None, None, "", degree_cap, (1, 0), zero, zero)
 
     def extend(self, defining_poly, gen_name, _trusted=False):
         """Adjoin a root of ``defining_poly`` (monic irreducible over self)."""
@@ -108,17 +106,16 @@ class FieldHandle:
             # trivial extension: same absolute field, generator is -f(0)
             root = -f.coeffs[-1]
             z = self.abs_gen()
-            return FieldHandle("extension", self, f, gen_name, self.degree_cap,
-                               self.abs_mod, (root.num, root.den),
-                               (z.num, z.den))
+            return FieldHandle(self, f, gen_name, self.degree_cap, self.abs_mod,
+                               (root.num, root.den), (z.num, z.den))
 
         s, echelon, relation = _norm(f)
         # the norm is squarefree, so f is irreducible exactly when it is
         if not _trusted and len(_factor_rational(relation)) > 1:
             raise ValueError("defining polynomial is not irreducible")
         abs_mod, scale = _integralize(relation)
-        new = FieldHandle("extension", self, f, gen_name, self.degree_cap,
-                          abs_mod, None, None)
+        new = FieldHandle(self, f, gen_name, self.degree_cap, abs_mod, None,
+                          None)
         # u = sum_i c_i gamma^i / den, and gamma = z / scale
         u = self.abs_gen()
         c, den = echelon.express(*_flatten([self.zero] * (d - 1) + [u]))
@@ -136,7 +133,7 @@ class FieldHandle:
     # -- basic structure ---------------------------------------------
 
     def is_rationals(self):
-        return self.kind == "rationals"
+        return self.base is None
 
     def tower_chain(self):
         """self, base, base.base, ... down to Q."""
@@ -145,18 +142,13 @@ class FieldHandle:
             chain.append(chain[-1].base)
         return chain
 
-    def absolute_degree(self):
-        return self.abs_degree
-
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FieldHandle):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.is_rationals():
-            return True
+        if self.is_rationals() or other.is_rationals():
+            return self.base is other.base
         return (self.gen_name == other.gen_name
                 and self.abs_mod == other.abs_mod
                 and self.gen_abs == other.gen_abs
@@ -528,15 +520,10 @@ class AlgElem:
 
     def render(self):
         """Human/CLI rendering in terms of the tower generator."""
-        if self.is_rational():
-            return _render_fraction(self.as_fraction())
-        name = _display_gen_name(self.field)
         deg = len(self.num) - 1
-        terms = []
-        for i, c in enumerate(self.num):
-            if c:
-                terms.append(_render_term(Fraction(c, self.den), name, deg - i))
-        return _join_terms(terms)
+        return render_terms([(Fraction(c, self.den), deg - i)
+                             for i, c in enumerate(self.num) if c],
+                            _display_gen_name(self.field))
 
 
 def _display_gen_name(field):
@@ -547,31 +534,35 @@ def _display_gen_name(field):
     return "w"
 
 
-def _render_fraction(frac):
-    return str(frac.numerator) if frac.denominator == 1 else \
-        f"{frac.numerator}/{frac.denominator}"
+def render_terms(terms, var, sep=""):
+    """The (coefficient, power) pairs, in the given order, as terms
+    ``c*var^power`` joined by sign.  A rational coefficient (a Fraction
+    or a rational element) prints as its Fraction, dropped when it is
+    +-1 in front of a power of var; any other prints as (c.render())."""
+    parts = []
+    for c, power in terms:
+        if isinstance(c, AlgElem):
+            body = str(c.as_fraction()) if c.is_rational() \
+                else f"({c.render()})"
+        else:
+            body = str(c)
+        if power == 0:
+            parts.append(body)
+            continue
+        head = var if power == 1 else f"{var}^{power}"
+        parts.append(body[:-1] + head if body in ("1", "-1")
+                     else f"{body}*{head}")
+    return join_terms(parts, sep)
 
 
-def _render_term(coeff, name, power):
-    if power == 0:
-        return _render_fraction(coeff)
-    if power == 1:
-        head = name
-    else:
-        head = f"{name}^{power}"
-    if coeff == 1:
-        return head
-    if coeff == -1:
-        return f"-{head}"
-    return f"{_render_fraction(coeff)}*{head}"
-
-
-def _join_terms(terms):
-    if not terms:
+def join_terms(parts, sep=""):
+    """Printed terms joined by their signs, padded with ``sep``; "0" for
+    no terms."""
+    if not parts:
         return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f"-{t[1:]}" if t.startswith("-") else f"+{t}"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f"{sep}-{sep}{p[1:]}" if p.startswith("-") else f"{sep}+{sep}{p}"
     return out
 
 
@@ -624,14 +615,6 @@ class UniPoly:
         d = self.degree()
         return UniPoly(self.field,
                        [c * (d - i) for i, c in enumerate(self.coeffs[:-1])])
-
-    def compose_scaled(self, scale):
-        """p(scale * y) for a field element scale."""
-        d = self.degree()
-        s = self.field.embed(scale) if isinstance(scale, AlgElem) \
-            else self.field.element(scale)
-        return UniPoly(self.field,
-                       [c * s ** (d - i) for i, c in enumerate(self.coeffs)])
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -695,25 +678,9 @@ class UniPoly:
         return f"UniPoly({self.render('y')})"
 
     def render(self, var="y"):
-        if self.is_zero():
-            return "0"
         d = self.degree()
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            power = d - i
-            if c.is_rational():
-                terms.append(_render_term(c.as_fraction(), var, power))
-            else:
-                body = c.render()
-                if power == 0:
-                    terms.append(f"({body})")
-                elif power == 1:
-                    terms.append(f"({body})*{var}")
-                else:
-                    terms.append(f"({body})*{var}^{power}")
-        return _join_terms(terms)
+        return render_terms([(c, d - i) for i, c in enumerate(self.coeffs)
+                             if not c.is_zero()], var)
 
 
 # -- factorization and minimal polynomials ---------------------------

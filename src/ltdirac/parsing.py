@@ -1,4 +1,5 @@
-"""Parser and printer for operator expressions.
+"""Parser for operator expressions; ``DiffOperator.render`` prints them
+back in the same grammar.
 
 Grammar: variable ``x``, derivation ``D`` (= d/dx), rational constants
 (``3``, ``1/2``), the operators ``+ - * ^``, parentheses and unary
@@ -173,8 +174,3 @@ def parse_operator(text, field=None):
         from .exactalg import FieldHandle
         field = FieldHandle.rationals()
     return _Parser(text, field).parse()
-
-
-def render_operator(operator):
-    """Printable form; re-parsing yields an equal operator."""
-    return operator.render()

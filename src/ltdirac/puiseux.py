@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exactalg import AlgElem, minimal_poly
+from .exactalg import AlgElem, minimal_poly, render_terms
 
 
 class ExpForm:
@@ -116,26 +116,10 @@ class ExpForm:
         return f"ExpForm({self.render()})"
 
     def render(self):
-        if self.is_zero():
-            return "0 ; m=1"
         var = "t" if self.m > 1 else "x"
-        parts = []
-        for j in self.support():
-            c = self.coeffs[j]
-            if c.is_rational():
-                frac = c.as_fraction()
-                body = "" if frac == 1 else ("-" if frac == -1 else None)
-                if body is None:
-                    parts.append(f"{frac.numerator}/{frac.denominator}*{var}^-{j}"
-                                 if frac.denominator != 1 else f"{frac}*{var}^-{j}")
-                else:
-                    parts.append(f"{body}{var}^-{j}")
-            else:
-                parts.append(f"({c.render()})*{var}^-{j}")
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return f"{joined} ; m={self.m}"
+        body = render_terms([(self.coeffs[j], -j) for j in self.support()],
+                            var, " ")
+        return f"{body} ; m={self.m}"
 
 
 def deg_x(form):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import PrecisionTooLow
-from .exactalg import AlgElem, _elem, _reduce
+from .exactalg import AlgElem, _elem, _reduce, render_terms
 
 
 def _min_prec(a, b):
@@ -326,37 +326,8 @@ class LaurentSeries:
         return f"LaurentSeries({self.render('x')})"
 
     def render(self, var="x"):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self.coeffs):
-                c = self.coeffs[e]
-                cs = c.render() if not c.is_rational() else None
-                if cs is not None:
-                    head = f"({cs})"
-                else:
-                    frac = c.as_fraction()
-                    head = None
-                    if e != 0 and frac == 1:
-                        head = ""
-                    elif e != 0 and frac == -1:
-                        head = "-"
-                    else:
-                        head = str(frac.numerator) if frac.denominator == 1 \
-                            else f"{frac.numerator}/{frac.denominator}"
-                if e == 0:
-                    term = head if head not in ("", "-") else f"{head}1"
-                elif e == 1:
-                    term = f"{head}*{var}" if head not in ("", "-") \
-                        else f"{head}{var}"
-                else:
-                    term = f"{head}*{var}^{e}" if head not in ("", "-") \
-                        else f"{head}{var}^{e}"
-                parts.append(term)
-            body = parts[0]
-            for p in parts[1:]:
-                body += f"-{p[1:]}" if p.startswith("-") else f"+{p}"
+        body = render_terms([(self.coeffs[e], e) for e in sorted(self.coeffs)],
+                            var)
         if self.prec is not None:
             body += f" + O({var}^{self.prec})"
         return body

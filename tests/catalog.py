@@ -4,16 +4,50 @@ Two catalogs: operators (exact recursion inputs with hand-checked slope
 and divisor data) and modules built from rank-one pieces (round-trip
 inputs for the decomposition), plus ``subst_zeta`` and ``descend``,
 which list an orbit's values explicitly and give the divisor that
-``bracket_values`` is checked against.
+``bracket_values`` is checked against, ``compose_scaled`` and
+``uniformizer_change``, which state the uniformizer scaling law on
+closed points and on whole divisors, and the CLI requests behind
+``tests/golden/``.
 """
 
+import pathlib
 from fractions import Fraction
 
 from ltdirac import (ClosedPoint, DiffOperator, DiracDivisor, ExpForm,
-                     FieldHandle, LaurentSeries, direct_sum, exp_module,
-                     minimal_poly, parse_operator, regular_module)
+                     FieldHandle, LaurentSeries, UniPoly, as_invariant,
+                     coordinate_scale, direct_sum, exp_module,
+                     lt_decompose, minimal_poly, parse_operator,
+                     regular_module)
 
 QQ = FieldHandle.rationals()
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# file under GOLDEN -> the CLI arguments whose stdout it holds
+GOLDEN_JOBS = [
+    ("invariant_pole_r2.json",
+     ["--op", "x^2*D - 1", "--mode", "invariant", "--r", "2"]),
+    ("invariant_ramified_n2k3.json",
+     ["--op", "x^3*D^2 - 1", "--mode", "invariant", "--n", "2", "--k", "3"]),
+    ("invariant_regular_r2.json",
+     ["--op", "x*D - 5", "--mode", "invariant", "--r", "2"]),
+    ("invariant_zero_r2.json",
+     ["--op", "x^3*D - 2", "--mode", "invariant", "--r", "2"]),
+    ("decompose_mixed.json",
+     ["--op", "x^3*D^2 - x*D + x^2*D - 1 + 5*x", "--mode", "decompose"]),
+    ("slopes_ramified.json",
+     ["--op", "x^3*D^2 - 1", "--mode", "slopes"]),
+    ("invariant_ramified_text.txt",
+     ["--op", "x^3*D^2 - 1", "--mode", "invariant", "--r", "3/2",
+      "--format", "text"]),
+    # irrational coefficients: the tower generator and its "w" fallback
+    ("decompose_sqrt2.json",
+     ["--op", "x^4*D^2 + x^3*D - 2", "--field", "adjoin: z^2-2",
+      "--mode", "decompose"]),
+    ("invariant_tower_text.txt",
+     ["--op", "x^3*D^2 - 2", "--field", "adjoin: z^2-2; adjoin: w^2-3",
+      "--mode", "invariant", "--r", "3/2", "--format", "text"]),
+]
 
 
 def rational_form(coeffs, m=1):
@@ -136,3 +170,36 @@ def subst_zeta(form, zeta):
         raise ValueError("zeta^m must equal 1")
     return ExpForm(field, form.m, {j: field.embed(c) * zeta ** -j
                                    for j, c in form.coeffs.items()})
+
+
+def compose_scaled(poly, scale):
+    """poly(scale * y) for a rational or field element scale."""
+    field, d = poly.field, poly.degree()
+    s = field.element(scale)
+    return UniPoly(field, [c * s ** (d - i) for i, c in enumerate(poly.coeffs)])
+
+
+def scale_points(div, scale):
+    """The divisor with every point y = v moved to y = scale*v: each
+    minimal polynomial mu becomes monic mu(y/scale)."""
+    inv = 1 / Fraction(scale)
+    return DiracDivisor(div.field, [
+        (ClosedPoint(compose_scaled(p.minpoly, inv).monic()), m)
+        for p, m in div.entries.items()])
+
+
+def uniformizer_change(op, r, g0):
+    """(divisor at r of op, divisor at r of op with x replaced by
+    g0^n*x, s) for r = k/n in lowest terms and s = coordinate_scale(g0,
+    n, k).  The coefficient of x^e*D^i is multiplied by g0^(n(e-i)); by
+    chart independence the second divisor is the first with every point
+    scaled by s."""
+    r = Fraction(r)
+    n, k = r.denominator, r.numerator
+    lam = Fraction(g0) ** n
+    moved = DiffOperator(op.field, [
+        LaurentSeries(op.field, {e: c * lam ** (e - i)
+                                 for e, c in a.coeffs.items()})
+        for i, a in enumerate(op.coeffs)])
+    return (as_invariant(lt_decompose(op), r),
+            as_invariant(lt_decompose(moved), r), coordinate_scale(g0, n, k))

@@ -6,31 +6,13 @@ import sys
 
 import pytest
 
-from ltdirac import parse_operator, render_operator
+from ltdirac import parse_operator
 from ltdirac.cli import JobSpec, main, run
 from ltdirac.errors import (EXIT_CODES, DegreeCapExceeded, InternalError,
                             LTDiracError, ParseError, PrecisionExhausted,
                             Unsupported, exit_code_for)
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-GOLDEN_JOBS = [
-    ("invariant_pole_r2.json",
-     ["--op", "x^2*D - 1", "--mode", "invariant", "--r", "2"]),
-    ("invariant_ramified_n2k3.json",
-     ["--op", "x^3*D^2 - 1", "--mode", "invariant", "--n", "2", "--k", "3"]),
-    ("invariant_regular_r2.json",
-     ["--op", "x*D - 5", "--mode", "invariant", "--r", "2"]),
-    ("invariant_zero_r2.json",
-     ["--op", "x^3*D - 2", "--mode", "invariant", "--r", "2"]),
-    ("decompose_mixed.json",
-     ["--op", "x^3*D^2 - x*D + x^2*D - 1 + 5*x", "--mode", "decompose"]),
-    ("slopes_ramified.json",
-     ["--op", "x^3*D^2 - 1", "--mode", "slopes"]),
-    ("invariant_ramified_text.txt",
-     ["--op", "x^3*D^2 - 1", "--mode", "invariant", "--r", "3/2",
-      "--format", "text"]),
-]
+from catalog import GOLDEN, GOLDEN_JOBS
 
 
 class TestGolden:
@@ -178,13 +160,13 @@ class TestRenderRoundTrip:
     @pytest.mark.parametrize("expr", ROUND_TRIP_CORPUS)
     def test_parse_render_parse(self, expr):
         op = parse_operator(expr)
-        again = parse_operator(render_operator(op))
+        again = parse_operator(op.render())
         assert again == op
 
     def test_render_is_fixed_point(self):
         for expr in ROUND_TRIP_CORPUS:
-            text = render_operator(parse_operator(expr))
-            assert render_operator(parse_operator(text)) == text
+            text = parse_operator(expr).render()
+            assert parse_operator(text).render() == text
 
 
 class TestMonomialPowers:

@@ -7,6 +7,8 @@ from ltdirac import (DilatedChart, FieldHandle, LaurentSeries, UniPoly,
 from ltdirac.errors import BadIndices, ZeroUnit
 from ltdirac.exactalg import minimal_poly
 
+from catalog import compose_scaled
+
 Q = FieldHandle.rationals()
 
 
@@ -28,9 +30,6 @@ class TestChart:
             dilated_chart(3, 2)
         with pytest.raises(BadIndices):
             dilated_chart(0, 2)
-
-    def test_special_fiber(self):
-        assert dilated_chart(1, 2).special_fiber_is_origin()
 
     def test_equality(self):
         assert dilated_chart(2, 4) == DilatedChart(2, 4)
@@ -97,7 +96,7 @@ class TestClosedPointInvariance:
         mu = minimal_poly(value, Q)
         mu_moved = minimal_poly(moved, Q)
         scale = coordinate_scale(g0, n, k)
-        assert mu.compose_scaled(scale).monic() == mu_moved
+        assert compose_scaled(mu, scale).monic() == mu_moved
 
     @pytest.mark.parametrize("g0", [2, 3, -1])
     @pytest.mark.parametrize("nk", [(1, 2), (2, 3), (1, 3)])
@@ -109,4 +108,4 @@ class TestClosedPointInvariance:
         mu = minimal_poly(value, Q)
         mu_moved = minimal_poly(moved, Q)
         scale = Fraction(g0) ** (n - k)
-        assert mu.compose_scaled(scale).monic() == mu_moved
+        assert compose_scaled(mu, scale).monic() == mu_moved

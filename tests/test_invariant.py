@@ -220,8 +220,8 @@ class TestDescend:
                 weight = rng.randint(1, 5)
                 value = field.gen() if not field.is_rationals() \
                     else field.element(rng.randint(-3, 3))
-                geom.append((value, weight * field.absolute_degree()))
-                expected += weight * field.absolute_degree()
+                geom.append((value, weight * field.abs_degree))
+                expected += weight * field.abs_degree
             div = descend(geom, Q)
             assert div.total_degree() == expected
 

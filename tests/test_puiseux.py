@@ -14,6 +14,14 @@ def form(coeffs, m=1):
     return ExpForm(Q, m, {j: Fraction(c) for j, c in coeffs.items()})
 
 
+class TestRender:
+    def test_unit_coefficients_drop(self):
+        assert form({3: -1, 1: Fraction(1, 2)}, m=2).render() == \
+            "-t^-3 + 1/2*t^-1 ; m=2"
+        assert form({2: 3, 1: -1}).render() == "3*x^-2 - x^-1 ; m=1"
+        assert ExpForm.zero(Q).render() == "0 ; m=1"
+
+
 class TestDegX:
     def test_zero_form(self):
         assert deg_x(ExpForm.zero(Q)) is None

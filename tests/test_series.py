@@ -13,6 +13,15 @@ def series(coeffs, prec=None):
     return LaurentSeries(Q, coeffs, prec)
 
 
+class TestRender:
+    def test_truncated_irrational_coefficients(self):
+        K = Q.extend(UniPoly(Q, [1, 0, -2]), "z")
+        z = K.gen()
+        s = LaurentSeries(K, {-1: z, 0: 1, 2: 1 - z, 3: -1}, prec=4)
+        assert s.render() == "(z)*x^-1+1+(-z+1)*x^2-x^3 + O(x^4)"
+        assert LaurentSeries(K, {}, prec=2).render("t") == "0 + O(t^2)"
+
+
 class TestArithmetic:
     def test_add_cancels(self):
         assert (series({1: 2, -1: 3}) + series({1: -2})) == series({-1: 3})

@@ -15,7 +15,8 @@ from ltdirac.turrittin import _cyclic_operator
 
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
                      catalog_module, catalog_operator, orbit_key,
-                     rational_form, rational_orbit_key)
+                     rational_form, rational_orbit_key, scale_points,
+                     uniformizer_change)
 
 Q = FieldHandle.rationals()
 SQRT2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
@@ -262,6 +263,14 @@ class TestSplitOrbitFamily:
                 c.orbit_size * c.rank ** 2 for c in dec.components
                 if deg_x(c.form) is None or deg_x(c.form) <= r - 1)
             assert base_change(div, ext) == as_invariant(extended, r)
+
+    @settings(max_examples=15)
+    @given(case=_split_orbit_family(),
+           g0=st.sampled_from([2, Fraction(-1, 3)]))
+    def test_uniformizer_change(self, case, g0):
+        op, slope = case
+        div, moved, s = uniformizer_change(op, 1 + slope, g0)
+        assert moved == scale_points(div, s)
 
 
 def _matrix_route(op, cap=64):
