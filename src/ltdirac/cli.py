@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .diffop import slopes
 from .errors import InternalError, LTDiracError, ParseError, exit_code_for
-from .exactalg import DEFAULT_DEGREE_CAP, FieldHandle, UniPoly
+from .exactalg import DEFAULT_DEGREE_CAP, FieldHandle
 from .invariant import as_invariant, as_invariant_nk
-from .parsing import parse_operator
+from .parsing import parse_operator, parse_polynomial
 from .turrittin import irregularity, lt_decompose
 
 SCHEMA_VERSION = 1
@@ -51,20 +51,14 @@ def _parse_field(spec):
     spec = (spec or "Q").strip()
     if spec in ("Q", "q", ""):
         return field
-    import sympy as sp
     for clause in spec.split(";"):
         clause = clause.strip()
         if not clause.startswith("adjoin:"):
             raise ValueError(
                 f"bad field clause {clause!r}; expected 'adjoin: <poly>'")
-        expr = sp.sympify(clause[len("adjoin:"):].strip())
-        symbols = sorted(expr.free_symbols, key=str)
-        if len(symbols) != 1:
-            raise ValueError("adjoin clause must use exactly one symbol")
-        poly = sp.Poly(expr, symbols[0])
-        coeffs = [Fraction(sp.Rational(c).p, sp.Rational(c).q)
-                  for c in poly.all_coeffs()]
-        field = field.extend(UniPoly(field, coeffs), str(symbols[0]))
+        # a parse error's position counts from just after 'adjoin:'
+        name, poly = parse_polynomial(clause[len("adjoin:"):], field)
+        field = field.extend(poly, name)
     return field
 
 

@@ -13,8 +13,9 @@ Tower extension and factoring share one norm (Trager 1976, ``_norm``):
 for a monic squarefree f over K, shift its root y by an integer multiple
 s of the absolute generator of K until y + s*z has a minimal polynomial
 over Q of full degree, the squarefree norm of f(y - s*z).  ``extend``
-takes it as the new absolute modulus; ``poly_factor`` factors it over Q,
-the only work left to sympy, which loads on the first such call.
+takes it as the new absolute modulus; ``poly_factor`` factors it over Q
+with the factorizer over Z of ``_factor_rational``.  The library needs
+no SymPy; the tests use it as a reference.
 
 Binomials are factored only when they can split.  By Capelli's theorem
 Y^m - lam is reducible over K exactly when lam is a p-th power in K for
@@ -29,8 +30,10 @@ the divisor points alike.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (DegreeCapExceeded, InternalError, NotASubfield,
                      ZeroPolynomial)
@@ -748,16 +751,362 @@ def _factor_over_field(f):
 def _factor_rational(coeffs):
     """Monic irreducible factors over Q, with multiplicities, of the
     polynomial with descending rational coefficients ``coeffs``; each
-    factor is a list of descending Fractions.  The only use of sympy in
-    the library, imported here so that it loads on the first call."""
-    from sympy import QQ
-    from sympy.polys.densetools import dup_monic
-    from sympy.polys.factortools import dup_factor_list
+    factor is a list of descending Fractions.
 
-    _, factors = dup_factor_list(
-        [QQ(c.numerator, c.denominator) for c in coeffs], QQ)
-    return [([Fraction(int(c.numerator), int(c.denominator))
-              for c in dup_monic(fac, QQ)], mult) for fac, mult in factors]
+    The factoring is our own, over Z (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 14-16): the primitive integer multiple of the
+    polynomial is split by Yun's squarefree decomposition, and each
+    squarefree part by ``_factor_squarefree``.  SymPy is needed only by
+    the tests, which check this against its ``factor_list``."""
+    den = lcm(*(c.denominator for c in coeffs))
+    f = _zx_primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return [([Fraction(c, g[0]) for c in g], mult)
+            for part, mult in _zx_squarefree(f)
+            for g in _factor_squarefree(part)]
+
+
+# -- integer polynomials: descending lists of ints ---------------------
+
+
+def _zx_primitive(a):
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = gcd(*a)
+    if a[0] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _zx_derivative(a):
+    n = len(a) - 1
+    return [c * (n - i) for i, c in enumerate(a[:-1])]
+
+
+def _zx_quo(a, b):
+    """The exact quotient a/b in Z[x]; b divides a."""
+    rem, quo = list(a), []
+    lead, tail = b[0], b[1:]
+    for i in range(len(a) - len(tail)):
+        c = rem[i] // lead
+        quo.append(c)
+        if c:
+            for j, y in enumerate(tail, i + 1):
+                rem[j] -= c * y
+    return quo
+
+
+def _zx_gcd(a, b):
+    """Primitive gcd with positive leading coefficient of the nonzero a
+    and b (b may be zero), by the primitive remainder sequence."""
+    if not b:
+        return _zx_primitive(a)
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _zx_primitive(a), _zx_primitive(b)
+    while True:
+        rem, lead, n = list(a), b[0], len(b) - 1
+        for i in range(len(a) - n):  # pseudo-remainder of a by b
+            c = rem[i]
+            rem = [lead * x for x in rem]
+            for k in range(1, n + 1):
+                rem[i + k] -= c * b[k]
+        rem = rem[len(a) - n:]
+        while rem and not rem[0]:
+            rem.pop(0)
+        if not rem:
+            return b
+        if len(rem) == 1:
+            return [1]
+        a, b = b, _zx_primitive(rem)
+
+
+def _zx_squarefree(f):
+    """Yun's squarefree decomposition of the primitive f with positive
+    leading coefficient: the pairs (a_i, i), deg a_i > 0, with
+    f = prod a_i^i and the a_i primitive, squarefree and coprime."""
+    df = _zx_derivative(f)
+    a = _zx_gcd(f, df)
+    if len(a) == 1:
+        return [(f, 1)] if len(f) > 1 else []
+    b, c = _zx_quo(f, a), _zx_quo(df, a)
+    out, i = [], 1
+    while len(b) > 1:
+        db = _zx_derivative(b)
+        width = max(len(c), len(db))
+        d = _gf_strip([x - y for x, y in zip([0] * (width - len(c)) + c,
+                                             [0] * (width - len(db)) + db)])
+        a = _zx_gcd(b, d)
+        b, c = _zx_quo(b, a), _zx_quo(d, a)
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _factor_squarefree(f):
+    """Primitive irreducible factors over Z of the primitive squarefree f
+    of positive degree and leading coefficient.
+
+    Degrees 1 and 2 are answered directly.  Otherwise f is factored
+    modulo small primes p that keep it squarefree and of full degree,
+    by distinct degrees.  A factor over Z has, modulo each p, a degree
+    that is a sum of the degrees found there, so when no degree below
+    deg f is such a sum for every prime tried, f is irreducible.  Else
+    the prime with the fewest factors gives them all (equal-degree
+    splitting), and ``_zassenhaus`` lifts and recombines them."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    if n == 2:
+        a, b, c = f
+        disc = b * b - 4 * a * c
+        root = isqrt(disc) if disc > 0 else 0
+        if root * root != disc:
+            return [f]
+        return [_zx_primitive([2 * a, b - root]),
+                _zx_primitive([2 * a, b + root])]
+    allowed = (1 << n) - 2  # bit d: a factor of degree d is possible
+    best, good = None, 0
+    for p in _odd_primes():
+        if f[0] % p == 0:
+            continue
+        inv = pow(f[0], -1, p)
+        fp = [c * inv % p for c in f]
+        if len(_gf_gcd(fp, _zx_derivative(fp), p)) > 1:
+            continue
+        ddf = _gf_ddf(fp, p)
+        sums = 1  # bit d: d is a sum of factor degrees modulo p
+        for d, g in ddf:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+        allowed &= sums
+        if not allowed:
+            return [f]
+        count = sum((len(g) - 1) // d for d, g in ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+        good += 1
+        if good == _GOOD_PRIMES:
+            break
+    _, p, ddf = best
+    rng = random.Random(p)
+    return _zassenhaus(f, [u for d, g in ddf for u in _gf_edf(g, d, p, rng)],
+                       p, allowed)
+
+
+#: how many good primes' degree patterns are compared before lifting
+_GOOD_PRIMES = 3
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _zassenhaus(f, factors, p, allowed):
+    """The irreducible factors over Z of the primitive squarefree f,
+    given its monic irreducible factors modulo p (p not dividing lc f).
+
+    The factors are lifted modulo p^k > 2B, B the Mignotte-type bound
+    sqrt(n+1) 2^n |f|_inf lc(f) of vzGG Algorithm 15.19, and subsets of
+    them, smallest first, are tried as factors: b times the product of
+    the subset and b times the product of the rest, b the leading
+    coefficient of what is left of f, both reduced symmetrically, are
+    the factors exactly when the product of their 1-norms is at most B.
+    Only subsets whose degree is in the bit set ``allowed`` and whose
+    constant term divides b f(0) are multiplied out."""
+    n = len(f) - 1
+    bound = (isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f) * f[0]
+    k, mod = 1, p
+    while mod <= 2 * bound:
+        k, mod = k + 1, mod * p
+    lifted = _hensel_lift(f, factors, p, k)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        b = f[0]
+        for subset in combinations(range(len(lifted)), size):
+            if not allowed >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            const = _symmetric(b * prod(lifted[i][-1] for i in subset), mod)
+            if f[-1] and (not const or (b * f[-1]) % const):
+                continue
+            rest = [u for i, u in enumerate(lifted) if i not in subset]
+            g = [_symmetric(c, mod)
+                 for c in _gf_prod(b, [lifted[i] for i in subset], mod)]
+            h = [_symmetric(c, mod) for c in _gf_prod(b, rest, mod)]
+            if sum(map(abs, g)) * sum(map(abs, h)) <= bound:
+                out.append(_zx_primitive(g))
+                f, lifted = _zx_primitive(h), rest
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _symmetric(c, mod):
+    """The residue of c modulo mod in (-mod/2, mod/2]."""
+    c %= mod
+    return c - mod if 2 * c > mod else c
+
+
+def _hensel_lift(f, factors, p, k):
+    """Monic factors modulo p^k of f, given f = lc(f) prod(factors) mod p
+    with the factors monic and coprime modulo p: split the factors in two
+    halves, lift the two products by quadratic Hensel steps (vzGG
+    Algorithm 15.10) and lift within each half."""
+    mod = p ** k
+    if len(factors) == 1:
+        inv = pow(f[0], -1, mod)
+        return [[c * inv % mod for c in f]]
+    half = len(factors) // 2
+    g = _gf_prod(f[0], factors[:half], p)
+    h = _gf_prod(1, factors[half:], p)
+    s, t = _gf_gcdex(g, h, p)
+    m = p
+    while m < mod:
+        m2 = m * m
+        e = _gf_sub(f, _gf_mul(g, h, m2), m2)
+        q, r = _gf_divmod(_gf_mul(s, e, m2), h, m2)
+        g = _gf_add(g, _gf_add(_gf_mul(t, e, m2), _gf_mul(q, g, m2), m2), m2)
+        h = _gf_add(h, r, m2)
+        bez = _gf_sub(_gf_add(_gf_mul(s, g, m2), _gf_mul(t, h, m2), m2),
+                      [1], m2)
+        c, d = _gf_divmod(_gf_mul(s, bez, m2), h, m2)
+        s = _gf_sub(s, d, m2)
+        t = _gf_sub(_gf_sub(t, _gf_mul(t, bez, m2), m2), _gf_mul(c, g, m2),
+                    m2)
+        m = m2
+    g = [c % mod for c in g]
+    h = [c % mod for c in h]
+    return (_hensel_lift(g, factors[:half], p, k)
+            + _hensel_lift(h, factors[half:], p, k))
+
+
+# -- polynomials modulo m: descending lists of residues, no leading zero
+
+
+def _gf_strip(a):
+    i = 0
+    while i < len(a) and not a[i]:
+        i += 1
+    return a[i:]
+
+
+def _gf_add(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    b = [0] * (len(a) - len(b)) + b
+    return _gf_strip([(x + y) % m for x, y in zip(a, b)])
+
+
+def _gf_sub(a, b, m):
+    return _gf_add(a, [-c for c in b], m)
+
+
+def _gf_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _gf_strip([c % m for c in out])
+
+
+def _gf_prod(lead, factors, m):
+    """lead times the product of ``factors`` modulo m."""
+    out = [lead % m]
+    for u in factors:
+        out = _gf_mul(out, u, m)
+    return out
+
+
+def _gf_divmod(a, b, m):
+    """Quotient and remainder of a by b modulo m; lc(b) is a unit."""
+    lead, tail = b[0], b[1:]
+    inv = 1 if lead == 1 else pow(lead, -1, m)
+    rem, quo = list(a), []
+    for i in range(len(a) - len(tail)):
+        c = rem[i] * inv % m
+        quo.append(c)
+        if c:
+            for j, y in enumerate(tail, i + 1):
+                rem[j] -= c * y
+    return quo, _gf_strip([c % m for c in rem[len(quo):]])
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd modulo the prime p."""
+    a, b = _gf_strip(a), _gf_strip([c % p for c in b])
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[0], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_gcdex(a, b, p):
+    """(s, t) with s a + t b = 1 modulo the prime p, for coprime a and b;
+    deg s < deg b and deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _gf_powmod(a, e, f, p):
+    """a^e modulo the monic f and the prime p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _gf_divmod(_gf_mul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _gf_divmod(_gf_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _gf_ddf(f, p):
+    """Distinct-degree factorization of the monic squarefree f modulo p
+    (vzGG Algorithm 14.3): pairs (d, g), g the product of the monic
+    irreducible factors of f of degree d."""
+    out, h, d = [], [1, 0], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _gf_powmod(h, p, f, p)  # x^(p^d) modulo f
+        g = _gf_gcd(f, _gf_sub(h, [1, 0], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _gf_edf(g, d, p, rng):
+    """The monic irreducible factors of g modulo the odd prime p, given
+    that all have degree d (Cantor and Zassenhaus, vzGG Algorithm 14.8)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    while True:
+        a = _gf_strip([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        b = _gf_gcd(g, a, p)
+        if len(b) == 1:
+            b = _gf_gcd(g, _gf_sub(_gf_powmod(a, (p ** d - 1) // 2, g, p),
+                                   [1], p), p)
+        if 1 < len(b) < len(g):
+            return (_gf_edf(b, d, p, rng)
+                    + _gf_edf(_gf_divmod(g, b, p)[0], d, p, rng))
 
 
 def minimal_poly(a, over=None):

@@ -3,14 +3,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+import sympy as sp
 
-from ltdirac import parse_operator
-from ltdirac.cli import JobSpec, main, run
+from ltdirac import FieldHandle, UniPoly, parse_operator
+from ltdirac.cli import JobSpec, _parse_field, main, run
 from ltdirac.errors import (EXIT_CODES, DegreeCapExceeded, InternalError,
                             LTDiracError, ParseError, PrecisionExhausted,
                             Unsupported, exit_code_for)
+from ltdirac.parsing import parse_polynomial
 
 from catalog import GOLDEN, GOLDEN_JOBS
 
@@ -122,6 +125,33 @@ class TestInputChannels:
         report = json.loads(capsys.readouterr().out)
         polys = sorted(e["minpoly"] for e in report["divisor"])
         assert polys == ["y+1", "y-1"]
+
+
+class TestFieldClauses:
+    @pytest.mark.parametrize("spec", [
+        "adjoin: 1/z", "adjoin: z^0.5-1", "adjoin: z^2+sqrt(2)",
+        "adjoin: z^2-w", "adjoin:", "adjoin: 3"])
+    def test_bad_clause_is_a_parse_error(self, spec, capsys):
+        assert main(["--op", "x^3*D^2 - 1", "--field", spec]) == \
+            EXIT_CODES["parse-error"]
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("spec", [
+        "adjoin: z**2-2", "adjoin: 2*z^2-1", "adjoin: z^2 - 1/3",
+        "adjoin: z^2-2", "adjoin: z^2-2; adjoin: w^2-3"])
+    def test_clause_polynomials_match_sympy(self, spec):
+        """Each clause gives the polynomial sympy's Poly reads from it."""
+        field = FieldHandle.rationals()
+        for clause in spec.split(";"):
+            text = clause.strip()[len("adjoin:"):]
+            name, poly = parse_polynomial(text, field)
+            expr = sp.sympify(text.replace("^", "**"))
+            (symbol,) = expr.free_symbols
+            want = [Fraction(int(c.p), int(c.q))
+                    for c in sp.Poly(expr, symbol).all_coeffs()]
+            assert (name, poly) == (str(symbol), UniPoly(field, want))
+            field = field.extend(poly, name)
+        assert field == _parse_field(spec)
 
 
 class TestJobSpec:

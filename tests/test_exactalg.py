@@ -364,6 +364,84 @@ def test_poly_factor_against_sympy(name, data):
     assert product == f.monic()
 
 
+# -- factoring over Q against sympy's factor_list ------------------------
+
+
+_X = sp.Symbol("x")
+
+
+def _sympy_factor_list(poly):
+    """The monic factors over Q of a sympy Poly with multiplicities, as
+    ``_factor_rational`` returns them, sorted."""
+    return sorted(([Fraction(int(c.p), int(c.q))
+                    for c in fac.monic().all_coeffs()], mult)
+                  for fac, mult in poly.factor_list()[1])
+
+
+def _check_factor_rational(poly):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
+    assert sorted(exactalg._factor_rational(coeffs)) == \
+        _sympy_factor_list(poly)
+
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def _rational_products(draw):
+    """A nonzero rational constant times 1-4 factors of degree <= 8 with
+    rational, non-monic coefficients and multiplicities <= 3, of total
+    degree 1..24."""
+    poly = sp.Poly(draw(_small_fractions.filter(bool)), _X, domain=QQ)
+    budget = 24
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, min(8, budget)))
+        mult = min(draw(st.integers(1, 3)), budget // degree)
+        coeffs = draw(st.lists(_small_fractions, min_size=degree + 1,
+                               max_size=degree + 1).filter(lambda c: c[0]))
+        poly *= sp.Poly(coeffs, _X, domain=QQ) ** mult
+        budget -= degree * mult
+        if budget < 1:
+            break
+    return poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=_rational_products())
+def test_factor_rational_against_sympy(poly):
+    _check_factor_rational(poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factor_rational_cyclotomic_products(data):
+    """Products of cyclotomic polynomials split modulo every prime into
+    many more factors than over Q."""
+    poly = sp.Poly(1, _X, domain=QQ)
+    for n in data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)):
+        phi = sp.Poly(sp.cyclotomic_poly(n, _X), _X, domain=QQ)
+        if poly.degree() + phi.degree() <= 24:
+            poly *= phi
+    _check_factor_rational(poly)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 0, 0, 1],  # x^4 + 1
+    [1, 0, -10, 0, 1],  # Swinnerton-Dyer of sqrt 2, sqrt 3
+    [1, 0, -40, 0, 352, 0, -960, 0, 576],  # ... of sqrt 2, sqrt 3, sqrt 5
+], ids=["x^4+1", "sd2", "sd3"])
+def test_factor_rational_irreducible_splitting_everywhere(coeffs):
+    """Irreducible over Q, yet reducible modulo every prime: only the
+    recombination of the lifted factors shows it."""
+    assert exactalg._factor_rational([Fraction(c) for c in coeffs]) == \
+        [([Fraction(c) for c in coeffs], 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_factor_rational_x_to_the_n_minus_one(n):
+    _check_factor_rational(sp.Poly(_X ** n - 1, _X, domain=QQ))
+
+
 # -- the echelon-of-powers kernel against sympy resultants ---------------
 
 
@@ -472,25 +550,27 @@ def test_trager_field_data_pinned(name):
 
 
 def test_import_and_slopes_leave_sympy_unloaded():
-    """sympy loads on the first factorization over Q, so importing the
-    package, a slopes run, which factors nothing, and an invariant run
-    over Q whose binomials Capelli's test shows irreducible never load
-    it."""
+    """The library never loads sympy: not on import, not in any CLI mode
+    over a tower given by adjoin clauses, and not when it factors a
+    reducible polynomial over Q or over Q(sqrt 2)."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("import sys, ltdirac\n"
+              "from ltdirac import FieldHandle, UniPoly, poly_factor\n"
               "assert 'sympy' not in sys.modules\n"
               "from ltdirac.cli import main\n"
-              "assert main(['--op', 'x^3*D^2 - 1', '--mode', 'slopes']) == 0\n"
-              "assert 'sympy' not in sys.modules\n"
-              "assert main(['--op', 'x^5*D^4 - 3', '--mode', 'invariant',\n"
-              "             '--r', '5/4']) == 0\n"
-              "assert 'sympy' not in sys.modules\n"
-              "ltdirac.exactalg.poly_factor(ltdirac.UniPoly(\n"
-              "    ltdirac.FieldHandle.rationals(), [1, 0, -1]))\n"
-              "assert 'sympy' in sys.modules\n")
+              "field = 'adjoin: z^2-2; adjoin: w^2-3'\n"
+              "for extra in (['--mode', 'slopes'], ['--mode', 'decompose'],\n"
+              "              ['--mode', 'invariant', '--r', '3/2']):\n"
+              "    assert main(['--op', 'x^3*D^2 - 2', '--field', field]\n"
+              "                + extra) == 0\n"
+              "Q = FieldHandle.rationals()\n"
+              "assert len(poly_factor(UniPoly(Q, [1, 0, 0, 0, 4]))) == 2\n"
+              "K = Q.extend(UniPoly(Q, [1, 0, -2]), 's')\n"
+              "assert len(poly_factor(UniPoly(K, [1, 0, -10, 0, 1]))) == 2\n"
+              "assert 'sympy' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
