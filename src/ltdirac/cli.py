@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .diffop import slopes
 from .errors import InternalError, LTDiracError, ParseError, exit_code_for
-from .exactalg import DEFAULT_DEGREE_CAP, FieldHandle
+from .exactalg import FieldHandle
 from .invariant import as_invariant, as_invariant_nk
 from .parsing import parse_operator, parse_polynomial
 from .turrittin import irregularity, lt_decompose
@@ -47,7 +47,7 @@ class JobSpec:
 
 
 def _parse_field(spec):
-    field = FieldHandle.rationals(DEFAULT_DEGREE_CAP)
+    field = FieldHandle.rationals()
     spec = (spec or "Q").strip()
     if spec in ("Q", "q", ""):
         return field

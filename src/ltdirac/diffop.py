@@ -25,33 +25,32 @@ class DiffOperator:
     """Sum a_i * D^i with Laurent-polynomial coefficients; D = d/dvar.
 
     ``ram`` records how the operator's variable relates to x: var^ram = x
-    (ram = 1 for operators over K((x)) themselves).
+    (ram = 1 for operators over K((x)) themselves); var is t unless ram = 1.
     """
 
-    __slots__ = ("field", "coeffs", "var", "ram")
+    __slots__ = ("field", "coeffs", "ram")
 
-    def __init__(self, field, coeffs, var="x", ram=1):
+    def __init__(self, field, coeffs, ram=1):
         coeffs = [c if isinstance(c, LaurentSeries)
                   else LaurentSeries(field, {0: c}) for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.field = field
         self.coeffs = coeffs
-        self.var = var
         self.ram = ram
 
     @staticmethod
-    def zero(field, var="x", ram=1):
-        return DiffOperator(field, [], var, ram)
+    def zero(field, ram=1):
+        return DiffOperator(field, [], ram)
 
     @staticmethod
-    def identity(field, var="x", ram=1):
-        return DiffOperator(field, [LaurentSeries.one(field)], var, ram)
+    def identity(field, ram=1):
+        return DiffOperator(field, [LaurentSeries.one(field)], ram)
 
     @staticmethod
-    def derivation(field, var="x", ram=1):
+    def derivation(field):
         return DiffOperator(field, [LaurentSeries.zero(field),
-                                    LaurentSeries.one(field)], var, ram)
+                                    LaurentSeries.one(field)])
 
     def order(self):
         return len(self.coeffs) - 1  # -1 for the zero operator
@@ -61,7 +60,7 @@ class DiffOperator:
 
     def map_to(self, field):
         return DiffOperator(field, [c.map_to(field) for c in self.coeffs],
-                            self.var, self.ram)
+                            self.ram)
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -69,11 +68,11 @@ class DiffOperator:
         a = self.coeffs + [z] * (n - len(self.coeffs))
         b = other.coeffs + [z] * (n - len(other.coeffs))
         return DiffOperator(self.field, [x + y for x, y in zip(a, b)],
-                            self.var, self.ram)
+                            self.ram)
 
     def __neg__(self):
         return DiffOperator(self.field, [-c for c in self.coeffs],
-                            self.var, self.ram)
+                            self.ram)
 
     def __sub__(self, other):
         return self + (-other)
@@ -81,7 +80,7 @@ class DiffOperator:
     def scale(self, series):
         """Left multiplication by a Laurent polynomial."""
         return DiffOperator(self.field, [series * c for c in self.coeffs],
-                            self.var, self.ram)
+                            self.ram)
 
     def compose(self, other):
         """Operator product self * other (apply other first)."""
@@ -93,13 +92,13 @@ class DiffOperator:
         return DiffOperator(self.field,
                             [a + b.derivative()
                              for a, b in zip(shifted, self.coeffs)]
-                            + self.coeffs[-1:], self.var, self.ram)
+                            + self.coeffs[-1:], self.ram)
 
     def _expand(self, power, step, coeff=None):
         """Sum of coeff(a_i) * P_i over the coefficients a_i of self, with
         P_0 = power and P_(i+1) = step(P_i): the substitution of the
         order-one operator that ``step`` applies for D."""
-        out = DiffOperator.zero(self.field, power.var, power.ram)
+        out = DiffOperator.zero(self.field, power.ram)
         for i, a in enumerate(self.coeffs):
             if i:
                 power = step(power)
@@ -108,7 +107,7 @@ class DiffOperator:
         return out
 
     def __pow__(self, n):
-        out = DiffOperator.identity(self.field, self.var, self.ram)
+        out = DiffOperator.identity(self.field, self.ram)
         for _ in range(n):
             out = out.compose(self)
         return out
@@ -120,7 +119,7 @@ class DiffOperator:
         result annihilates u.
         """
         return self._expand(
-            DiffOperator.identity(self.field, self.var, self.ram),
+            DiffOperator.identity(self.field, self.ram),
             lambda p: p._left_derivation() + p.scale(shift))
 
     def ramify(self, n):
@@ -131,7 +130,7 @@ class DiffOperator:
         factor = LaurentSeries.monomial(field, field.element(Fraction(1, n)),
                                         1 - n)
         return self._expand(
-            DiffOperator.identity(field, "t", self.ram * n),
+            DiffOperator.identity(field, self.ram * n),
             lambda p: p._left_derivation().scale(factor),
             lambda a: a.substitute_power(n))
 
@@ -152,24 +151,25 @@ class DiffOperator:
             return self
         return DiffOperator(self.field,
                             [c.shift(-shift) for c in self.coeffs],
-                            self.var, self.ram)
+                            self.ram)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
         return (self.field == other.field and self.coeffs == other.coeffs
-                and self.var == other.var and self.ram == other.ram)
+                and self.ram == other.ram)
 
     def __repr__(self):
         return f"DiffOperator({self.render()})"
 
     def render(self):
+        var = "x" if self.ram == 1 else "t"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c.is_zero():
                 continue
-            cs = c.render(self.var)
+            cs = c.render(var)
             if i == 0:
                 parts.append(cs)
                 continue
@@ -303,22 +303,20 @@ class ConnectionMatrix:
     derivative on coordinates).  ``ram`` as for DiffOperator.
     """
 
-    __slots__ = ("field", "size", "rows", "var", "ram")
+    __slots__ = ("field", "size", "rows", "ram")
 
-    def __init__(self, field, rows, var="x", ram=1):
+    def __init__(self, field, rows, ram=1):
         self.field = field
         self.size = len(rows)
         self.rows = [[e if isinstance(e, LaurentSeries)
                       else LaurentSeries(field, {0: e}) for e in row]
                      for row in rows]
-        self.var = var
         self.ram = ram
 
     @staticmethod
-    def zero(field, size, var="x", ram=1, prec=None):
-        z = LaurentSeries.zero(field, prec)
-        return ConnectionMatrix(field, [[z] * size for _ in range(size)],
-                                var, ram)
+    def zero(field, size, ram=1):
+        z = LaurentSeries.zero(field)
+        return ConnectionMatrix(field, [[z] * size for _ in range(size)], ram)
 
     def truncation_order(self):
         precs = [e.prec for row in self.rows for e in row if e.prec is not None]
@@ -327,12 +325,12 @@ class ConnectionMatrix:
     def map_to(self, field):
         return ConnectionMatrix(field,
                                 [[e.map_to(field) for e in row]
-                                 for row in self.rows], self.var, self.ram)
+                                 for row in self.rows], self.ram)
 
     def truncate(self, prec):
         return ConnectionMatrix(self.field,
                                 [[e.truncate(prec) for e in row]
-                                 for row in self.rows], self.var, self.ram)
+                                 for row in self.rows], self.ram)
 
     def __eq__(self, other):
         if not isinstance(other, ConnectionMatrix):
@@ -359,7 +357,7 @@ def ramify(matrix, n):
     factor = LaurentSeries.monomial(field, field.element(n), n - 1)
     rows = [[factor * e.substitute_power(n) for e in row]
             for row in matrix.rows]
-    return ConnectionMatrix(field, rows, "t", matrix.ram * n)
+    return ConnectionMatrix(field, rows, matrix.ram * n)
 
 
 def twist(matrix, form):
@@ -377,7 +375,7 @@ def twist(matrix, form):
     rows = [list(row) for row in matrix.rows]
     for i in range(matrix.size):
         rows[i][i] = rows[i][i] + dw
-    return ConnectionMatrix(field, rows, matrix.var, matrix.ram)
+    return ConnectionMatrix(field, rows, matrix.ram)
 
 
 def minimal_precision(order):
@@ -390,8 +388,7 @@ def companion(operator, precision):
     d = operator.order()
     if d < 1:
         if d == 0:
-            return ConnectionMatrix(operator.field, [], operator.var,
-                                    operator.ram)
+            return ConnectionMatrix(operator.field, [], operator.ram)
         raise ValueError("companion of the zero operator")
     if precision < minimal_precision(d):
         raise PrecisionTooLow(
@@ -412,15 +409,15 @@ def companion(operator, precision):
         a = operator.coeffs[j]
         if not a.is_zero():
             rows[d - 1][j] = rows[d - 1][j] - (a * inv_lead).truncate(precision)
-    return ConnectionMatrix(field, rows, operator.var, operator.ram)
+    return ConnectionMatrix(field, rows, operator.ram)
 
 
 # -- module constructors (catalog building blocks) -------------------
 
 
-def regular_module(field, rank, var="x", ram=1):
+def regular_module(field, rank):
     """Regular module of the given rank with the trivial connection."""
-    return ConnectionMatrix.zero(field, rank, var, ram)
+    return ConnectionMatrix.zero(field, rank)
 
 
 def direct_sum(*matrices):
@@ -439,7 +436,53 @@ def direct_sum(*matrices):
             for j in range(m.size):
                 rows[offset + i][offset + j] = m.rows[i][j]
         offset += m.size
-    return ConnectionMatrix(field, rows, first.var, ram)
+    return ConnectionMatrix(field, rows, ram)
+
+
+def _restrict(matrix, n, base):
+    """Restriction of scalars from L((t)) to base((x)), x = t^n and base
+    L or Q, on the basis alpha^a t^j e_i with index (i*n + j)*deg + a,
+    alpha the absolute generator of L and deg = [L:base].
+
+    The derivation sends t^j e_i to (j/n) x^-1 t^j e_i plus
+    t^(j+1-n)/n * sum_k A_ik e_k, so a term c t^s of A_ik gives
+    alpha^a c/n at x^q in block (k*n + u), for s + 1 - n + j = q*n + u.
+    A truncated A_ik truncates its cells at floor((prec + 1 - n + j)/n)."""
+    field = matrix.field
+    deg = 1 if base is field else field.abs_degree
+    powers = [field.abs_gen() ** a for a in range(deg)]
+    inv_n = field.element(Fraction(1, n))
+
+    def coords(c):
+        """Coordinates over base of c, ascending in alpha."""
+        if base is field:
+            return [c]
+        return [base.element(x) for x in reversed(c.coords())]
+
+    size = matrix.size * n * deg
+    rows = [[None] * size for _ in range(size)]
+    for i, row in enumerate(matrix.rows):
+        for j in range(n):
+            for k, entry in enumerate(row):
+                cells = [{} for _ in range(n)]
+                for s, c in entry.coeffs.items():
+                    q, u = divmod(s + 1 - n + j, n)
+                    cells[u][q] = c * inv_n
+                if k == i and j:
+                    diag = cells[j]
+                    diag[-1] = diag.get(-1, field.zero) + inv_n * j
+                prec = (None if entry.prec is None
+                        else (entry.prec + 1 - n + j) // n)
+                for a, power in enumerate(powers):
+                    out = rows[(i * n + j) * deg + a]
+                    for u, cell in enumerate(cells):
+                        split = {q: coords(power * c)
+                                 for q, c in cell.items()}
+                        for b in range(deg):
+                            out[(k * n + u) * deg + b] = LaurentSeries(
+                                base, {q: v[b] for q, v in split.items()},
+                                prec)
+    return ConnectionMatrix(base, rows, matrix.ram // n)
 
 
 def push_forward(matrix, n):
@@ -447,84 +490,16 @@ def push_forward(matrix, n):
     K((t)) to K((x)) on the basis t^j e_i, j = 0..n-1."""
     if n == 1:
         return matrix
-    field = matrix.field
-    ell = matrix.size
-    size = ell * n
-    inv_n = field.element(Fraction(1, n))
-    z = LaurentSeries.zero(field)
-    rows = [[z] * size for _ in range(size)]
-
-    def idx(i, j):
-        return i * n + j
-
-    for i in range(ell):
-        for j in range(n):
-            # (j/n) x^-1 on the diagonal
-            if j:
-                rows[idx(i, j)][idx(i, j)] = rows[idx(i, j)][idx(i, j)] + \
-                    LaurentSeries.monomial(field, field.element(Fraction(j, n)), -1)
-            for k in range(ell):
-                entry = matrix.rows[i][k]
-                if entry.is_zero():
-                    continue
-                shifted = entry.shift(1 - n + j)
-                for s, c in shifted.coeffs.items():
-                    u = s % n
-                    q = (s - u) // n
-                    rows[idx(i, j)][idx(k, u)] = rows[idx(i, j)][idx(k, u)] + \
-                        LaurentSeries.monomial(field, c * inv_n, q)
-                if shifted.prec is not None:
-                    for u in range(n):
-                        cell = rows[idx(i, j)][idx(k, u)]
-                        rows[idx(i, j)][idx(k, u)] = \
-                            cell.truncate(shifted.prec // n)
     if matrix.ram % n:
         raise RamificationMismatch("push-forward index must divide ram")
-    return ConnectionMatrix(field, rows, "x" if matrix.ram == n else "t",
-                            matrix.ram // n)
+    return _restrict(matrix, n, matrix.field)
 
 
 def restrict_scalars(matrix, base):
     """Restriction of scalars along a field extension down to Q."""
-    field = matrix.field
     if not base.is_rationals():
         raise NotImplementedError("restriction of scalars targets Q")
-    deg = field.abs_degree
-    if deg == 1:
-        rows = [[LaurentSeries(base,
-                               {e: base.element(c.as_fraction())
-                                for e, c in entry.coeffs.items()}, entry.prec)
-                 for entry in row] for row in matrix.rows]
-        return ConnectionMatrix(base, rows, matrix.var, matrix.ram)
-    ell = matrix.size
-    size = ell * deg
-
-    alpha = field.abs_gen()
-    z = LaurentSeries.zero(base)
-    rows = [[z] * size for _ in range(size)]
-
-    def idx(i, a):
-        return i * deg + a
-
-    for i in range(ell):
-        for a in range(deg):
-            power = alpha ** a
-            for k in range(ell):
-                entry = matrix.rows[i][k]
-                for e, c in entry.coeffs.items():
-                    vec = (power * c).coords()  # descending in alpha
-                    for b in range(deg):
-                        coeff = vec[deg - 1 - b]
-                        if coeff:
-                            cell = rows[idx(i, a)][idx(k, b)]
-                            rows[idx(i, a)][idx(k, b)] = cell + \
-                                LaurentSeries.monomial(base,
-                                                       base.element(coeff), e)
-                if entry.prec is not None:
-                    for b in range(deg):
-                        cell = rows[idx(i, a)][idx(k, b)]
-                        rows[idx(i, a)][idx(k, b)] = cell.truncate(entry.prec)
-    return ConnectionMatrix(base, rows, matrix.var, matrix.ram)
+    return _restrict(matrix, 1, base)
 
 
 def exp_module(form, rank, base_field):
@@ -536,15 +511,10 @@ def exp_module(form, rank, base_field):
     the regular module), so the construction twists by the negative.
     """
     field = form.field
-    m = form.m
-    mat = ConnectionMatrix.zero(field, rank, "t" if m > 1 else "x", m)
-    mat = twist(mat, -form)
-    if m > 1:
-        mat = push_forward(mat, m)
-    if not (field is base_field or field == base_field):
-        if base_field.is_rationals():
-            mat = restrict_scalars(mat, base_field)
-        else:
-            raise NotImplementedError(
-                "coefficient descent implemented only down to Q")
-    return mat
+    if field is base_field or field == base_field:
+        base_field = field
+    elif not base_field.is_rationals():
+        raise NotImplementedError(
+            "coefficient descent implemented only down to Q")
+    mat = twist(ConnectionMatrix.zero(field, rank, form.m), -form)
+    return _restrict(mat, form.m, base_field)

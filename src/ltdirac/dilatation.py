@@ -50,39 +50,25 @@ def dilated_chart(n, k):
     return DilatedChart(n, k)
 
 
-def _leading_unit(g0):
-    """Constant term of a uniformizer-change unit; full series are
-    accepted but only g(0) matters."""
+def _unit_power(g0, e):
+    """g(0)^e for a uniformizer-change unit g; full series are accepted
+    but only g(0) matters."""
     if isinstance(g0, LaurentSeries):
         if g0.coeffs and min(g0.coeffs) < 0:
             raise ZeroUnit("uniformizer change must be a unit series")
         g0 = g0.coeff(0)
-    return g0
+    if not isinstance(g0, AlgElem):
+        g0 = Fraction(g0)
+    if g0 == 0:
+        raise ZeroUnit("leading unit must be nonzero")
+    return g0 ** e
 
 
 def coordinate_scale(g0, n, k):
     """Factor relating fiber coordinates: y' = g(0)^(n-k) * y."""
-    g0 = _leading_unit(g0)
-    if isinstance(g0, AlgElem):
-        if g0.is_zero():
-            raise ZeroUnit("leading unit must be nonzero")
-        return g0 ** (n - k)
-    g0 = Fraction(g0)
-    if g0 == 0:
-        raise ZeroUnit("leading unit must be nonzero")
-    return g0 ** (n - k)
+    return _unit_power(g0, n - k)
 
 
 def transport_coefficient(c, g0, n, k):
     """Transported leading coefficient: c' = g(0)^(k-n) * c."""
-    g0 = _leading_unit(g0)
-    if isinstance(g0, AlgElem):
-        if g0.is_zero():
-            raise ZeroUnit("leading unit must be nonzero")
-        scale = g0 ** (k - n)
-    else:
-        g0 = Fraction(g0)
-        if g0 == 0:
-            raise ZeroUnit("leading unit must be nonzero")
-        scale = g0 ** (k - n)
-    return c * scale
+    return c * _unit_power(g0, k - n)

@@ -7,7 +7,7 @@ element is a tuple of integer numerators over one positive denominator:
 the descending coefficients of a polynomial in z of degree below
 deg g, in lowest terms.  Arithmetic, zero tests and hashing are plain
 integer operations.  A minimal polynomial over Q is the first linear
-relation among the powers of an element (``_PowerEchelon``).
+relation among the powers of an element (``_Echelon``).
 
 Tower extension and factoring share one norm (Trager 1976, ``_norm``):
 for a monic squarefree f over K, shift its root y by an integer multiple
@@ -38,7 +38,7 @@ from math import gcd, isqrt, lcm, prod
 from .errors import (DegreeCapExceeded, InternalError, NotASubfield,
                      ZeroPolynomial)
 
-DEFAULT_DEGREE_CAP = 16
+DEGREE_CAP = 16  # largest absolute degree of a field
 
 
 def _z_rep(degree):
@@ -62,17 +62,16 @@ class FieldHandle:
     """
 
     __slots__ = (
-        "base", "defining_poly", "gen_name", "degree_cap",
-        "abs_mod", "abs_degree", "gen_abs", "base_gen_abs",
+        "base", "defining_poly", "gen_name", "abs_mod", "abs_degree",
+        "gen_abs", "base_gen_abs",
         "zero", "one",
     )
 
-    def __init__(self, base, defining_poly, gen_name, degree_cap,
-                 abs_mod, gen_abs, base_gen_abs):
+    def __init__(self, base, defining_poly, gen_name, abs_mod, gen_abs,
+                 base_gen_abs):
         self.base = base
         self.defining_poly = defining_poly
         self.gen_name = gen_name
-        self.degree_cap = degree_cap
         self.abs_mod = abs_mod
         self.abs_degree = n = len(abs_mod) - 1
         self.gen_abs = gen_abs
@@ -83,9 +82,9 @@ class FieldHandle:
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def rationals(degree_cap=DEFAULT_DEGREE_CAP):
+    def rationals():
         zero = ((0,), 1)  # the modulus is z, so the absolute generator is 0
-        return FieldHandle(None, None, "", degree_cap, (1, 0), zero, zero)
+        return FieldHandle(None, None, "", (1, 0), zero, zero)
 
     def extend(self, defining_poly, gen_name, _trusted=False):
         """Adjoin a root of ``defining_poly`` (monic irreducible over self)."""
@@ -99,9 +98,9 @@ class FieldHandle:
         if d < 1:
             raise ZeroPolynomial("defining polynomial must be nonconstant")
         new_abs_degree = self.abs_degree * d
-        if new_abs_degree > self.degree_cap:
+        if new_abs_degree > DEGREE_CAP:
             raise DegreeCapExceeded(
-                f"absolute degree {new_abs_degree} exceeds cap {self.degree_cap}")
+                f"absolute degree {new_abs_degree} exceeds cap {DEGREE_CAP}")
         if not _trusted and f.gcd(f.derivative()).degree() > 0:
             raise ValueError("defining polynomial is not squarefree")
 
@@ -109,7 +108,7 @@ class FieldHandle:
             # trivial extension: same absolute field, generator is -f(0)
             root = -f.coeffs[-1]
             z = self.abs_gen()
-            return FieldHandle(self, f, gen_name, self.degree_cap, self.abs_mod,
+            return FieldHandle(self, f, gen_name, self.abs_mod,
                                (root.num, root.den), (z.num, z.den))
 
         s, echelon, relation = _norm(f)
@@ -117,8 +116,7 @@ class FieldHandle:
         if not _trusted and len(_factor_rational(relation)) > 1:
             raise ValueError("defining polynomial is not irreducible")
         abs_mod, scale = _integralize(relation)
-        new = FieldHandle(self, f, gen_name, self.degree_cap, abs_mod, None,
-                          None)
+        new = FieldHandle(self, f, gen_name, abs_mod, None, None)
         # u = sum_i c_i gamma^i / den, and gamma = z / scale
         u = self.abs_gen()
         c, den = echelon.express(*_flatten([self.zero] * (d - 1) + [u]))
@@ -242,7 +240,7 @@ def _norm(f):
     for s in _shift_candidates(size):
         if s == 0 and skip_zero:
             continue
-        echelon = _PowerEchelon(size)
+        echelon = _Echelon(size)
         power, su = one_a, field.abs_gen() * s
         relation = echelon.feed(*_flatten(power))
         while relation is None:
@@ -267,12 +265,12 @@ def _flatten(elems):
     return [x * (den // e.den) for e in elems for x in e.num], den
 
 
-class _PowerEchelon:
-    """Fraction-free echelon form of the powers 1, a, a^2, ... of an element.
+class _Echelon:
+    """Fraction-free echelon form of vectors v_0, v_1, ... fed in turn.
 
-    Each power arrives as integer coordinates over a positive denominator.
-    A row is those coordinates followed by the combination of the powers
-    it is built from, so the row of the k-th power starts as [w | den e_k].
+    Each vector arrives as integer coordinates over a positive denominator.
+    A row is those coordinates followed by the combination of the vectors
+    it is built from, so the row of v_k starts as [w | den e_k].
     A new row is reduced by the pivot rows in order, each step divided
     exactly by the previous pivot (Bareiss), so every entry stays an
     integer.  A row whose coordinates vanish is a linear relation."""
@@ -293,9 +291,9 @@ class _PowerEchelon:
         return row
 
     def feed(self, num, den):
-        """Hold the next power num/den.  Returns None while the powers are
+        """Hold the next vector num/den.  Returns None while the vectors are
         independent, else the first monic relation among them as descending
-        Fractions: the minimal polynomial of the element."""
+        Fractions: for the powers of an element, its minimal polynomial."""
         n, k = self.size, len(self.rows)
         row = list(num) + [0] * (n + 1)
         row[n + k] = den
@@ -309,12 +307,12 @@ class _PowerEchelon:
         return None
 
     def express(self, num, den):
-        """The vector num/den as a combination of the powers held: ascending
+        """The vector num/den as a combination of the vectors held: ascending
         numerators over one denominator."""
         n = self.size
         row = self._reduce(list(num) + [0] * (n + 1))
         if any(row[:n]):
-            raise InternalError("vector outside the span of the powers")
+            raise InternalError("vector outside the span of the vectors held")
         # the vector entered once and was scaled by the last pivot
         last = self.rows[-1][self.pivots[-1]]
         return [-row[n + i] for i in range(len(self.rows))], last * den
@@ -345,42 +343,19 @@ def _reduce(prod, mod):
 
 
 def _inverse(num, den, mod):
-    """1/(num(z)/den) modulo the irreducible mod(z), as (numerators, d).
-
-    Solves a(z) x(z) = 1 for the coordinates of x: the columns of the
-    matrix are a, a z, ..., a z^(n-1) reduced modulo mod, and fraction-free
-    (Bareiss) elimination keeps every entry an integer; Cramer's rule
-    makes det * x integral."""
+    """1/(num(z)/den) modulo the irreducible mod(z), as (numerators, d):
+    the element 1 written in a, a z, ..., a z^(n-1), each reduced modulo
+    mod, is the inverse x(z) of a."""
     n = len(mod) - 1
-    v = list(reversed(num))  # ascending coefficients of a
-    cols = [v]
-    for _ in range(n - 1):
-        top = v[-1]
-        v = [0] + v[:-1]
-        if top:
-            v = [x - top * mod[n - i] for i, x in enumerate(v)]
-        cols.append(v)
-    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-    prev = 1
+    echelon = _Echelon(n)
+    v = list(num)
     for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
+        if k:
+            v = _reduce(v + [0], mod)
+        if echelon.feed(v, den) is not None:
             raise InternalError("field modulus is not irreducible")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        pk = pivot[k]
-        for row in rows[k + 1:]:
-            rk = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (row[j] * pk - rk * pivot[j]) // prev
-            row[k] = 0
-        prev = pk
-    y = [0] * n  # y = det * x, back substitution in integers
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
-    return [den * c for c in reversed(y)], prev
+    c, d = echelon.express([0] * (n - 1) + [1], 1)
+    return c[::-1], d
 
 
 class AlgElem:
@@ -1113,7 +1088,7 @@ def minimal_poly(a, over=None):
     """Monic minimal polynomial of ``a`` over a subfield of its tower."""
     field = a.field
     if over is None:
-        over = FieldHandle.rationals(field.degree_cap)
+        over = FieldHandle.rationals()
     if not field.contains_field(over):
         raise NotASubfield(f"{over!r} does not occur in the tower of {field!r}")
 
@@ -1131,7 +1106,7 @@ def minimal_poly(a, over=None):
 def _absolute_minpoly(a):
     """Minimal polynomial of ``a`` over Q as descending Fractions: the
     first linear relation among 1, a, a^2, ..."""
-    echelon = _PowerEchelon(a.field.abs_degree)
+    echelon = _Echelon(a.field.abs_degree)
     power = a.field.one
     relation = echelon.feed(power.num, power.den)
     while relation is None:

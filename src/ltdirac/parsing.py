@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .diffop import DiffOperator
 from .errors import DegreeCapExceeded, ParseError
-from .exactalg import FieldHandle, UniPoly
+from .exactalg import DEGREE_CAP, FieldHandle, UniPoly
 from .series import LaurentSeries
 
 
@@ -192,7 +192,7 @@ class _OperatorParser(_Parser):
 
 class _PolynomialParser(_Parser):
     """A polynomial with rational coefficients in one symbol, the first
-    name met; a power of degree above the field's degree cap is refused
+    name met; a power of degree above the degree cap is refused
     before it is expanded."""
 
     symbol = None
@@ -206,10 +206,10 @@ class _PolynomialParser(_Parser):
             return base
         self.take("^")
         exp = self.take("int")[1]
-        if base.degree() * exp > self.field.degree_cap:
+        if base.degree() * exp > DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"power of degree {base.degree() * exp} exceeds cap "
-                f"{self.field.degree_cap}")
+                f"{DEGREE_CAP}")
         return base ** exp
 
     def atom(self):

@@ -207,7 +207,7 @@ def _dilate(op, lam, q):
                 powers[w] = lam ** w
             out[e] = x * powers[w]
         coeffs.append(LaurentSeries(op.field, out, c.prec))
-    return DiffOperator(op.field, coeffs, op.var, op.ram)
+    return DiffOperator(op.field, coeffs, op.ram)
 
 
 def _representative(field, path, counter):
@@ -231,7 +231,7 @@ def _decompose_matrix(matrix):
     attempt, at its own precision."""
     if matrix.size == 0:
         return _decompose_operator(
-            DiffOperator.identity(matrix.field, matrix.var, matrix.ram))
+            DiffOperator.identity(matrix.field, matrix.ram))
     given = matrix.truncation_order()
     if given is None:
         maxpole = max([0] + [-min(e.coeffs) for row in matrix.rows
@@ -289,7 +289,7 @@ def _cyclic_operator(matrix, prec):
         if sol is None:
             continue
         coeffs = [-a for a in sol] + [LaurentSeries.one(matrix.field)]
-        return DiffOperator(matrix.field, coeffs, work.var, work.ram)
+        return DiffOperator(matrix.field, coeffs, work.ram)
     raise PrecisionTooLow("no cyclic vector found at this precision")
 
 

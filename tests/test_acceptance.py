@@ -3,12 +3,15 @@ trips, slope oracles, divisor values, descent integrality, uniformizer
 laws and the command-line surface."""
 
 import json
+import pathlib
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+import ltdirac
 from ltdirac import (DiffOperator, FieldHandle, LaurentSeries, UniPoly,
                      as_invariant, as_invariant_nk, base_change, coordinate_scale,
                      deg_x, irregularity, lt_decompose, newton_polygon,
@@ -318,3 +321,17 @@ class TestCommandLine:
         for expr in corpus:
             op = parse_operator(expr)
             assert parse_operator(op.render()) == op
+
+
+class TestDocumentation:
+    def test_readme_names_every_public_name(self):
+        """Every name in ltdirac.__all__ appears as an identifier inside
+        a code span or code block of README.md."""
+        text = (pathlib.Path(__file__).resolve().parents[1]
+                / "README.md").read_text()
+        blocks = re.findall(r"```.*?```", text, re.S)
+        spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
+                                                flags=re.S))
+        names = {w for code in blocks + spans
+                 for w in re.findall(r"[A-Za-z_]\w*", code)}
+        assert [n for n in ltdirac.__all__ if n not in names] == []

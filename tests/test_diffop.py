@@ -95,12 +95,12 @@ class TestTwist:
             twist(mat, rational_form({1: 1}, m=2))
 
     def test_ramified_twist_uses_t_exponents(self):
-        mat = ConnectionMatrix.zero(Q, 1, "t", 2)
+        mat = ConnectionMatrix.zero(Q, 1, ram=2)
         out = twist(mat, rational_form({1: 1}, m=2))  # form 1/t
         assert out.rows[0][0] == LaurentSeries(Q, {-2: -1})
 
     def test_unramified_form_on_ramified_matrix(self):
-        mat = ConnectionMatrix.zero(Q, 1, "t", 2)
+        mat = ConnectionMatrix.zero(Q, 1, ram=2)
         out = twist(mat, rational_form({1: 1}))  # 1/x = 1/t^2
         assert out.rows[0][0] == LaurentSeries(Q, {-3: -2})
 
@@ -134,7 +134,7 @@ class TestCompanion:
 
 class TestConstructors:
     def test_push_forward_of_trivial_rank_one(self):
-        mat = ConnectionMatrix.zero(Q, 1, "t", 2)
+        mat = ConnectionMatrix.zero(Q, 1, ram=2)
         out = push_forward(mat, 2)
         assert out.size == 2
         assert out.rows[0][0].is_zero()
@@ -164,3 +164,113 @@ class TestConstructors:
         # multiplication by i in the basis (1, i): 1 -> i, i -> -1
         assert out.rows[0][1] == LaurentSeries(Q, {-1: 1})
         assert out.rows[1][0] == LaurentSeries(Q, {-1: -1})
+
+
+def _cells(mat):
+    """(precisions, nonzero terms) of every cell; a term maps its exponent
+    to the coefficient's coordinates, descending in the absolute
+    generator, as strings."""
+    precs = [[e.prec for e in row] for row in mat.rows]
+    terms = {(r, k): {x: " ".join(map(str, c.coords()))
+                      for x, c in e.coeffs.items()}
+             for r, row in enumerate(mat.rows)
+             for k, e in enumerate(row) if e.coeffs}
+    return precs, terms
+
+
+def _truncated_cube_root_matrix():
+    """A 2x2 matrix over Q(c), c^3 = 2, in t with t^3 = x, every entry
+    truncated, one of them zero to its precision."""
+    C3 = Q.extend(UniPoly(Q, [1, 0, 0, -2]), "c")
+    c = C3.gen()
+    return ConnectionMatrix(C3, [
+        [LaurentSeries(C3, {-3: c + 1, -1: 2, 0: c * c, 4: 5}, 2),
+         LaurentSeries(C3, {-2: c}, 1)],
+        [LaurentSeries.zero(C3, 3),
+         LaurentSeries(C3, {-5: 1, -4: c - 3, 0: 7, 1: c}, 5)]], ram=3)
+
+
+class TestPinnedConstructors:
+    """Every cell and precision of the restriction of scalars, pinned."""
+
+    def test_push_forward_of_truncated_tower_matrix(self):
+        out = push_forward(_truncated_cube_root_matrix(), 3)
+        assert (out.size, out.ram, out.field.abs_degree) == (6, 1, 3)
+        assert _cells(out) == (
+            [[0, 0, 0, -1, -1, -1], [0] * 6, [0] * 6,
+             [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1], [1] * 6],
+            {(0, 0): {-1: "0 0 2/3"},
+             (0, 1): {-2: "0 1/3 1/3", -1: "1/3 0 0"},
+             (0, 5): {-2: "0 1/3 0"},
+             (1, 1): {-1: "0 0 1"},
+             (1, 2): {-2: "0 1/3 1/3", -1: "1/3 0 0"},
+             (1, 3): {-1: "0 1/3 0"},
+             (2, 0): {-1: "0 1/3 1/3"},
+             (2, 2): {-1: "0 0 4/3"},
+             (2, 4): {-1: "0 1/3 0"},
+             (3, 3): {-2: "0 1/3 -1"},
+             (3, 4): {-1: "0 0 7/3"},
+             (3, 5): {-3: "0 0 1/3", -1: "0 1/3 0"},
+             (4, 3): {-2: "0 0 1/3", 0: "0 1/3 0"},
+             (4, 4): {-2: "0 1/3 -1", -1: "0 0 1/3"},
+             (4, 5): {-1: "0 0 7/3"},
+             (5, 3): {0: "0 0 7/3"},
+             (5, 4): {-2: "0 0 1/3", 0: "0 1/3 0"},
+             (5, 5): {-2: "0 1/3 -1", -1: "0 0 2/3"}})
+
+    def test_restrict_scalars_of_truncated_tower_matrix(self):
+        out = restrict_scalars(_truncated_cube_root_matrix(), Q)
+        assert (out.size, out.ram, out.field.is_rationals()) == (6, 3, True)
+        assert _cells(out) == (
+            [[2, 2, 2, 1, 1, 1]] * 3 + [[3, 3, 3, 5, 5, 5]] * 3,
+            {(0, 0): {-3: "1", -1: "2"},
+             (0, 1): {-3: "1"},
+             (0, 2): {0: "1"},
+             (0, 4): {-2: "1"},
+             (1, 0): {0: "2"},
+             (1, 1): {-3: "1", -1: "2"},
+             (1, 2): {-3: "1"},
+             (1, 5): {-2: "1"},
+             (2, 0): {-3: "2"},
+             (2, 1): {0: "2"},
+             (2, 2): {-3: "1", -1: "2"},
+             (2, 3): {-2: "2"},
+             (3, 3): {-5: "1", -4: "-3", 0: "7"},
+             (3, 4): {-4: "1", 1: "1"},
+             (4, 4): {-5: "1", -4: "-3", 0: "7"},
+             (4, 5): {-4: "1", 1: "1"},
+             (5, 3): {-4: "2", 1: "2"},
+             (5, 5): {-5: "1", -4: "-3", 0: "7"}})
+
+    def test_exp_module_of_ramified_form_over_tower_descended_to_q(self):
+        F = Q.extend(UniPoly(Q, [1, 0, 1]), "i")
+        i = F.gen()
+        out = exp_module(ExpForm(F, 2, {1: i, 3: 2 * i + 1}), 2, Q)
+        assert (out.size, out.ram, out.field.is_rationals()) == (8, 1, True)
+        assert _cells(out) == (
+            [[None] * 8] * 8,
+            {(0, 2): {-3: "3/2"},
+             (0, 3): {-3: "3", -2: "1/2"},
+             (1, 2): {-3: "-3", -2: "-1/2"},
+             (1, 3): {-3: "3/2"},
+             (2, 0): {-2: "3/2"},
+             (2, 1): {-2: "3", -1: "1/2"},
+             (2, 2): {-1: "1/2"},
+             (3, 0): {-2: "-3", -1: "-1/2"},
+             (3, 1): {-2: "3/2"},
+             (3, 3): {-1: "1/2"},
+             (4, 6): {-3: "3/2"},
+             (4, 7): {-3: "3", -2: "1/2"},
+             (5, 6): {-3: "-3", -2: "-1/2"},
+             (5, 7): {-3: "3/2"},
+             (6, 4): {-2: "3/2"},
+             (6, 5): {-2: "3", -1: "1/2"},
+             (6, 6): {-1: "1/2"},
+             (7, 4): {-2: "-3", -1: "-1/2"},
+             (7, 5): {-2: "3/2"},
+             (7, 7): {-1: "1/2"}})
+
+    def test_variable_follows_ram(self):
+        op = parse_operator("x^2*D - 1")
+        assert op.render() == "x^2*D - 1"
+        assert op.ramify(2).render() == "1/2*t^3*D - 1"

@@ -324,7 +324,7 @@ def _perturbed(operator, tails):
         terms = dict(c.coeffs)
         terms.update({c.prec + k: v for k, v in tail.items()})
         coeffs.append(LaurentSeries(c.field, terms))
-    return DiffOperator(operator.field, coeffs, operator.var, operator.ram)
+    return DiffOperator(operator.field, coeffs, ram=operator.ram)
 
 
 # a term exactly at the precision, and up to two beyond it
