@@ -13,9 +13,8 @@ from .dilatation import (DilatedChart, coordinate_scale, dilated_chart,
                          transport_coefficient)
 from .errors import LTDiracError
 from .exactalg import AlgElem, FieldHandle, UniPoly, minimal_poly, poly_factor
-from .invariant import (ClosedPoint, DiracDivisor, as_invariant,
-                        as_invariant_nk, base_change, bracket_values,
-                        omega_at, omega_below)
+from .invariant import (DiracDivisor, as_invariant, as_invariant_nk,
+                        base_change, bracket_values, omega_at, omega_below)
 from .parsing import parse_operator
 from .puiseux import ExpForm, c_r, deg_x
 from .series import LaurentSeries
@@ -24,7 +23,7 @@ from .turrittin import LTComponent, LTDecomposition, irregularity, lt_decompose
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgElem", "ClosedPoint", "ConnectionMatrix", "DiffOperator",
+    "AlgElem", "ConnectionMatrix", "DiffOperator",
     "DilatedChart", "DiracDivisor", "ExpForm", "FieldHandle",
     "LTComponent", "LTDecomposition", "LTDiracError", "LaurentSeries",
     "NewtonPolygon", "UniPoly", "as_invariant", "as_invariant_nk",

@@ -112,27 +112,29 @@ class DiffOperator:
             out = out.compose(self)
         return out
 
-    def gauge_shift(self, shift):
-        """Substitute D -> D + shift, for a Laurent polynomial shift.
+    def substitute(self, n, lam, shift):
+        """The operator in u after var = lam*u^n and D_u -> D_u + shift,
+        for a nonzero constant lam and a Laurent polynomial shift in u.
 
-        If L annihilates y and y = exp(phi) * u with phi' = shift, the
-        result annihilates u.
-        """
-        return self._expand(
-            DiffOperator.identity(self.field, self.ram),
-            lambda p: p._left_derivation() + p.scale(shift))
-
-    def ramify(self, n):
-        """Substitute var = u^n (u the new variable); D_var = u^(1-n)/n D_u."""
-        if n == 1:
-            return self
+        Each coefficient a(var) becomes a(lam*u^n), and D_var becomes
+        u^(1-n)/(n*lam) * (D_u + shift).  If L annihilates y and
+        y = exp(phi) * w with phi' = shift, the result annihilates w."""
         field = self.field
-        factor = LaurentSeries.monomial(field, field.element(Fraction(1, n)),
-                                        1 - n)
+        factor = LaurentSeries.monomial(field, (lam * n).inverse(), 1 - n)
+        ds = factor * shift  # D_var = factor * D_u + ds
+        powers = {}
+
+        def dilate(a):
+            for e in a.coeffs.keys() - powers.keys():
+                powers[e] = lam ** e
+            return LaurentSeries(field, {n * e: c * powers[e]
+                                         for e, c in a.coeffs.items()},
+                                 None if a.prec is None else a.prec * n)
+
         return self._expand(
             DiffOperator.identity(field, self.ram * n),
-            lambda p: p._left_derivation().scale(factor),
-            lambda a: a.substitute_power(n))
+            lambda p: p._left_derivation().scale(factor) + p.scale(ds),
+            dilate)
 
     def normalize(self):
         """Clear a common monomial factor t^k (slopes are unaffected).
@@ -259,29 +261,24 @@ def newton_polygon(operator):
             raise PrecisionTooLow(
                 f"coefficient of D^{i} is known only below x^{a.prec}, "
                 f"which does not clear the polygon at height {height}")
+    # the slope-0 edge, at height ymin up to the regular vertex, has the
+    # regular mass as its length; every edge after it has positive slope
+    low = min(i for i, y in points.items() if y == ymin)
+    segments = [((low, ymin), (i0, ymin), i0)] + [
+        (pa, pb, pb[0] - pa[0]) for pa, pb in zip(chain, chain[1:])]
     edges = []
-    if i0 > 0:
-        low = min(i for i, y in points.items() if y == ymin)
+    for (xa, ya), (xb, yb), length in segments:
+        if not length:
+            continue
+        slope = Fraction(yb - ya, max(xb - xa, 1))
         coeffs = []
-        for i in range(low, i0 + 1):
-            if points.get(i) == ymin:
-                coeffs.append(operator.coeffs[i].coeff(ymin + i))
-            else:
-                coeffs.append(operator.field.zero)
-        poly = UniPoly(operator.field, list(reversed(coeffs)))
-        edges.append((Fraction(0), i0, poly))
-    # every edge after the regular vertex has positive slope
-    for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
-        slope = Fraction(yb - ya, xb - xa)
-        coeffs = []
-        for i in range(xa, xb + 1):
+        for i in range(xb, xa - 1, -1):
             target = ya + slope * (i - xa)
             if target.denominator == 1 and points.get(i) == target:
                 coeffs.append(operator.coeffs[i].coeff(int(target) + i))
             else:
                 coeffs.append(operator.field.zero)
-        poly = UniPoly(operator.field, list(reversed(coeffs)))
-        edges.append((slope, xb - xa, poly))
+        edges.append((slope, length, UniPoly(operator.field, coeffs)))
     return NewtonPolygon([tuple(p) for p in hull], edges)
 
 

@@ -21,42 +21,10 @@ from .puiseux import c_r, deg_x
 from .turrittin import LTDecomposition, lt_decompose
 
 
-class ClosedPoint:
-    """A closed point of the affine line over K: a monic irreducible
-    polynomial in the dual coordinate y."""
-
-    __slots__ = ("minpoly",)
-
-    def __init__(self, minpoly):
-        self.minpoly = minpoly
-
-    @staticmethod
-    def origin(field):
-        return ClosedPoint(UniPoly(field, [1, 0]))
-
-    def degree(self):
-        return self.minpoly.degree()
-
-    def key(self):
-        return (self.degree(), self.minpoly.key())
-
-    def __eq__(self, other):
-        if not isinstance(other, ClosedPoint):
-            return NotImplemented
-        return self.minpoly == other.minpoly
-
-    def __hash__(self):
-        return hash(self.minpoly)
-
-    def render(self):
-        return self.minpoly.render("y")
-
-    def __repr__(self):
-        return f"ClosedPoint({self.render()})"
-
-
 class DiracDivisor:
-    """Finite multiset of closed points; empty = zero divisor."""
+    """Finite multiset of closed points of the affine line over K, each
+    its monic irreducible polynomial in the dual coordinate y, mapped to
+    its multiplicity; empty = zero divisor."""
 
     __slots__ = ("field", "entries")
 
@@ -164,10 +132,10 @@ def as_invariant(dec, r):
     origin_mass = sum(c.orbit_size * c.rank ** 2
                       for c in omega_below(dec, r - 1))
     if origin_mass:
-        entries.append((ClosedPoint.origin(field), origin_mass))
+        entries.append((UniPoly(field, [1, 0]), origin_mass))
     for comp in omega_at(dec, r - 1):
         for fac, weight in bracket_values(comp, r, field):
-            entries.append((ClosedPoint(fac), weight * comp.rank ** 2))
+            entries.append((fac, weight * comp.rank ** 2))
     return DiracDivisor(field, entries)
 
 
@@ -202,9 +170,9 @@ def base_change(obj, ext):
 def _divisor_base_change(div, ext):
     entries = []
     for point, mult in div.entries.items():
-        for fac, e in poly_factor(point.minpoly.map_to(ext)):
+        for fac, e in poly_factor(point.map_to(ext)):
             if e != 1:
                 raise InternalError(
                     "repeated factor of an irreducible polynomial")
-            entries.append((ClosedPoint(fac), mult))
+            entries.append((fac, mult))
     return DiracDivisor(ext, entries)

@@ -218,23 +218,23 @@ class LaurentSeries:
     def inverse(self, prec=None):
         """Multiplicative inverse as a series known below ``prec``.
 
-        For an exact monomial the result is exact; otherwise a finite
-        target precision is required (defaults to self.prec shifted)."""
+        A truncated series of valuation v determines its inverse only
+        below x^(self.prec - 2v), which caps ``prec`` and is its default.
+        For an exact monomial the result is exact; any other exact series
+        needs a finite target precision."""
         if not self.coeffs:
             if self.is_exact():
                 raise ZeroDivisionError("inverse of the zero series")
             raise PrecisionTooLow("cannot invert a series that is zero to precision")
         v = min(self.coeffs)
         lead = self.coeffs[v]
+        if self.prec is not None:
+            prec = _min_prec(prec, self.prec - 2 * v)
         if len(self.coeffs) == 1:
-            if prec is None and self.prec is not None:
-                prec = self.prec - 2 * v
             return LaurentSeries(self.field, {-v: lead.inverse()}, prec)
         if prec is None:
-            if self.prec is None:
-                raise PrecisionTooLow(
-                    "inverting a non-monomial exact series needs a target precision")
-            prec = self.prec - 2 * v
+            raise PrecisionTooLow(
+                "inverting a non-monomial exact series needs a target precision")
         # self = t^v sum_e r_e t^e with r_0 = lead, so 1/self = t^-v
         # sum_t y_t t^t with y_0 = 1/lead and y_t = -(1/lead) sum_(e>=1)
         # r_e y_(t-e), wanted below t^(prec+v).  Each sum is taken over

@@ -11,8 +11,9 @@ E over the current field and adjoin one root beta per irreducible
 factor.  The substitution x = lambda*u^q with lambda = (q^q*beta)^k,
 k*a = 1 (mod q), gives an edge of integer slope a whose polynomial has
 the root gamma = (q^q*beta)^((1-a*k)/q) in K(beta), so no q-th root is
-adjoined.  Twist by gamma*u^(-a-1) and recurse on the strictly smaller
-slopes over K(beta).  Each recursion leaf is then exactly one orbit, of
+adjoined.  One change of variables (``DiffOperator.substitute``) makes
+that substitution and the twist D_u -> D_u + gamma*u^(-a-1) together;
+recurse on the strictly smaller slopes over K(beta).  Each recursion leaf is then exactly one orbit, of
 size the product of q*deg(factor) along its path, and its
 representative in t is built once, at the leaf.
 """
@@ -155,18 +156,14 @@ def _split(op, path, multiplier, bound, out, counter):
             continue
         a, q = s.numerator, s.denominator
         k = pow(a, -1, q)
-        ramified = op.ramify(q)
         # ep(T) = E(T^q): every q-th coefficient from the top
         for fac, mult in poly_factor(UniPoly(field, ep.coeffs[::q])):
             field2, beta = _adjoin_root(fac, counter)
             qb = beta * q ** q
             lam2 = qb ** k
             gamma = qb ** ((1 - a * k) // q)
-            child = ramified.map_to(field2)
-            if q > 1:
-                child = _dilate(child, lam2, q)
-            child = child.gauge_shift(
-                LaurentSeries.monomial(field2, gamma, -a - 1))
+            child = op.map_to(field2).substitute(
+                q, lam2, LaurentSeries.monomial(field2, gamma, -a - 1))
             # the variable of op is lam2 * u^q in the new variable u
             terms2 = {q * j: field2.embed(c) * lam2 ** -j
                       for j, c in terms.items()}
@@ -188,26 +185,6 @@ def _adjoin_root(fac, counter):
     counter[0] += 1
     field = fac.field.extend(fac, f"a{counter[0]}", _trusted=True)
     return field, field.gen()
-
-
-def _dilate(op, lam, q):
-    """The ramified operator ``op`` (in v, x = v^q) after v = mu*u with
-    mu^q = lam, so that x = lam*u^q.  Its coefficient of v^e*D^j gains
-    mu^(e-j), an integer power of lam: e = j (mod q) in a ramified
-    operator."""
-    powers = {}
-    coeffs = []
-    for j, c in enumerate(op.coeffs):
-        out = {}
-        for e, x in c.coeffs.items():
-            w, rest = divmod(e - j, q)
-            if rest:
-                raise InternalError("ramified operator off its grading")
-            if w not in powers:
-                powers[w] = lam ** w
-            out[e] = x * powers[w]
-        coeffs.append(LaurentSeries(op.field, out, c.prec))
-    return DiffOperator(op.field, coeffs, op.ram)
 
 
 def _representative(field, path, counter):

@@ -13,11 +13,10 @@ closed points and on whole divisors, and the CLI requests behind
 import pathlib
 from fractions import Fraction
 
-from ltdirac import (ClosedPoint, DiffOperator, DiracDivisor, ExpForm,
-                     FieldHandle, LaurentSeries, UniPoly, as_invariant,
-                     coordinate_scale, direct_sum, exp_module,
-                     lt_decompose, minimal_poly, parse_operator,
-                     regular_module)
+from ltdirac import (DiffOperator, DiracDivisor, ExpForm, FieldHandle,
+                     LaurentSeries, UniPoly, as_invariant, coordinate_scale,
+                     direct_sum, exp_module, lt_decompose, minimal_poly,
+                     parse_operator, regular_module)
 
 QQ = FieldHandle.rationals()
 
@@ -158,7 +157,7 @@ def descend(geom, field):
         if weight % mu.degree():
             raise ValueError(f"total weight {weight} not divisible by "
                              f"degree {mu.degree()} of {mu.render('y')}")
-        entries.append((ClosedPoint(mu), weight // mu.degree()))
+        entries.append((mu, weight // mu.degree()))
     return DiracDivisor(field, entries)
 
 
@@ -184,7 +183,7 @@ def scale_points(div, scale):
     minimal polynomial mu becomes monic mu(y/scale)."""
     inv = 1 / Fraction(scale)
     return DiracDivisor(div.field, [
-        (ClosedPoint(compose_scaled(p.minpoly, inv).monic()), m)
+        (compose_scaled(p, inv).monic(), m)
         for p, m in div.entries.items()])
 
 

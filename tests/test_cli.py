@@ -83,6 +83,15 @@ class TestExitCodes:
             "error [internal-error]: ZeroDivisionError: integer division " \
             "or modulo by zero\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--mode", "invariant", "--r", "2", "--n", "1", "--k", "2"],
+         "error: mode=invariant needs exactly one of r or (n, k)\n"),
+        (["--field", "Q(i)"],
+         "error: bad field clause 'Q(i)'; expected 'adjoin: <poly>'\n")])
+    def test_value_error(self, argv, message, capsys):
+        assert main(["--op", "x^2*D - 1"] + argv) == 2
+        assert capsys.readouterr().err == message
+
     def test_missing_operator(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -125,6 +134,42 @@ class TestInputChannels:
         report = json.loads(capsys.readouterr().out)
         polys = sorted(e["minpoly"] for e in report["divisor"])
         assert polys == ["y+1", "y-1"]
+
+
+class TestTextFormat:
+    MIXED = "x^3*D^2 - x*D + x^2*D - 1 + 5*x"
+
+    def _text(self, argv, capsys):
+        assert main(argv + ["--format", "text"]) == 0
+        return capsys.readouterr().out
+
+    def test_slopes(self, capsys):
+        assert self._text(["--op", self.MIXED, "--mode", "slopes"],
+                          capsys) == (
+            "operator: x^3*D^2 + (-x+x^2)*D - 1+5*x\n"
+            "field:    Q\n"
+            "slopes:   0 (x1), 1 (x1)\n")
+
+    def test_decompose(self, capsys):
+        assert self._text(["--op", self.MIXED, "--mode", "decompose"],
+                          capsys) == (
+            "operator: x^3*D^2 + (-x+x^2)*D - 1+5*x\n"
+            "field:    Q\n"
+            "ram index: 1\n"
+            "total rank: 2\n"
+            "irregularity: 1\n"
+            "  form 0 ; m=1  rank 1  orbit 1\n"
+            "  form x^-1 ; m=1  rank 1  orbit 1\n")
+
+    def test_linear_field_clause(self, capsys):
+        """A linear clause adjoins a rational root: the field is Q again."""
+        assert self._text(["--op", "x^2*D - 1", "--mode", "invariant",
+                           "--r", "2", "--field", "adjoin: z-3"], capsys) == (
+            "operator: x^2*D - 1\n"
+            "field:    Q[z: z-3 = 0]\n"
+            "r: 2\n"
+            "divisor:\n"
+            "  1 * (y+1)  [degree 1]\n")
 
 
 class TestFieldClauses:

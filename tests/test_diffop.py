@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltdirac import (ConnectionMatrix, DiffOperator, ExpForm, FieldHandle,
                      LaurentSeries, companion, direct_sum, exp_module,
@@ -12,6 +14,7 @@ from ltdirac.exactalg import UniPoly
 from catalog import OPERATOR_CATALOG, catalog_operator, rational_form
 
 Q = FieldHandle.rationals()
+SQRT2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
 
 
 class TestNewtonPolygon:
@@ -74,6 +77,90 @@ class TestRamify:
         assert all(e.is_zero() for row in out.rows for e in row)
 
 
+def _elements(field):
+    """Nonzero elements a + b*g, g the generator of ``field`` (b = 0
+    over Q), with small rational a and b."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    gen = field.gen() if field.abs_degree > 1 else field.zero
+    return st.tuples(small, small).map(
+        lambda ab: field.element(ab[0]) + gen * ab[1]).filter(
+            lambda c: not c.is_zero())
+
+
+@st.composite
+def _operators(draw, field):
+    """Exact operators of order at most 3 with sparse coefficients."""
+    order = draw(st.integers(0, 3))
+    coeffs = [draw(st.dictionaries(st.integers(-3, 4), _elements(field),
+                                   min_size=int(i == order), max_size=3))
+              for i in range(order + 1)]
+    return DiffOperator(field, [LaurentSeries(field, c) for c in coeffs])
+
+
+@st.composite
+def _substitutions(draw):
+    """(field, n, lambda, shift) with a monomial shift in u."""
+    field = draw(st.sampled_from((Q, SQRT2)))
+    n = draw(st.integers(1, 3))
+    lam = draw(st.one_of(st.just(field.one), _elements(field)))
+    shift = LaurentSeries.monomial(field, draw(_elements(field)),
+                                   draw(st.integers(-4, 1)))
+    return field, n, lam, shift
+
+
+def _three_passes(op, n, lam, shift):
+    """var = v^n, then v = mu*u with mu^n = lam, then D_u -> D_u + shift,
+    each pass a sum of powers of one order-one operator."""
+    field, ram = op.field, op.ram * n
+    d_var = DiffOperator(field, [LaurentSeries.zero(field),
+                                 LaurentSeries.monomial(
+                                     field, field.element(Fraction(1, n)),
+                                     1 - n)], ram)
+    ramified = DiffOperator.zero(field, ram)
+    for i, a in enumerate(op.coeffs):
+        ramified = ramified + (d_var ** i).scale(a.substitute_power(n))
+    # the coefficient of v^e*D^j gains mu^(e-j), and n divides e - j
+    dilated = []
+    for j, c in enumerate(ramified.coeffs):
+        out = {}
+        for e, x in c.coeffs.items():
+            w, rest = divmod(e - j, n)
+            assert rest == 0
+            out[e] = x * lam ** w
+        dilated.append(LaurentSeries(field, out, c.prec))
+    d_shift = DiffOperator(field, [shift, LaurentSeries.one(field)], ram)
+    out = DiffOperator.zero(field, ram)
+    for j, c in enumerate(dilated):
+        out = out + (d_shift ** j).scale(c)
+    return out
+
+
+class TestSubstitute:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), case=_substitutions())
+    def test_matches_three_passes(self, data, case):
+        field, n, lam, shift = case
+        op = data.draw(_operators(field))
+        assert op.substitute(n, lam, shift) == \
+            _three_passes(op, n, lam, shift)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), case=_substitutions())
+    def test_respects_composition(self, data, case):
+        field, n, lam, shift = case
+        a, b = data.draw(_operators(field)), data.draw(_operators(field))
+        assert a.compose(b).substitute(n, lam, shift) == \
+            a.substitute(n, lam, shift).compose(b.substitute(n, lam, shift))
+
+    def test_truncated_coefficient_precision(self):
+        op = DiffOperator(Q, [LaurentSeries(Q, {0: 1}, 2),
+                              LaurentSeries(Q, {2: 1})])
+        out = op.substitute(2, Q.element(3), LaurentSeries.zero(Q))
+        # 1 + O(x^2) at x = 3u^2 is 1 + O(u^4)
+        assert out.coeffs[0] == LaurentSeries(Q, {0: 1}, 4)
+        assert out.coeffs[1] == LaurentSeries(Q, {3: Fraction(3, 2)})
+
+
 class TestTwist:
     def test_zero_form_is_identity(self):
         mat = ConnectionMatrix(Q, [[LaurentSeries(Q, {5: 2})]])
@@ -124,6 +211,14 @@ class TestCompanion:
     def test_precision_too_low(self):
         with pytest.raises(PrecisionTooLow):
             companion(parse_operator("x^3*D^2 - 1"), 1)
+
+    def test_truncated_leading_coefficient(self):
+        # 1/(x^2 + x^3 + O(x^4)) is known only below x^0
+        lead = LaurentSeries(Q, {2: 1, 3: 1}, 4)
+        op = DiffOperator(Q, [LaurentSeries(Q, {0: -1}), lead])
+        out = companion(op, 8)
+        assert out.rows[0][0] == LaurentSeries(Q, {-2: 1, -1: -1}, 0)
+        assert out.truncation_order() == 0
 
     @pytest.mark.parametrize("name", [entry[0] for entry in OPERATOR_CATALOG])
     def test_entries_known_to_precision(self, name):
@@ -273,4 +368,5 @@ class TestPinnedConstructors:
     def test_variable_follows_ram(self):
         op = parse_operator("x^2*D - 1")
         assert op.render() == "x^2*D - 1"
-        assert op.ramify(2).render() == "1/2*t^3*D - 1"
+        zero = LaurentSeries.zero(Q)
+        assert op.substitute(2, Q.one, zero).render() == "1/2*t^3*D - 1"

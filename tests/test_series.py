@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,12 @@ class TestInverse:
         inv = a.inverse(prec=6)
         product = a * inv
         assert product.eq_to_precision(LaurentSeries.one(Q, 6))
+
+    def test_truncated_series_caps_precision(self):
+        inv = series({0: 1, 1: 1}, prec=3).inverse(prec=8)
+        assert inv == series({0: 1, 1: -1, 2: 1}, prec=3)
+        inv = series({-1: 2}, prec=1).inverse(prec=8)
+        assert inv == series({1: Fraction(1, 2)}, prec=3)
 
     def test_zero_to_precision_not_invertible(self):
         with pytest.raises(PrecisionTooLow):
@@ -217,10 +225,14 @@ class TestKernelsAgainstReference:
                 e, c = next(iter(a.coeffs.items()))
                 assert a.inverse() == LaurentSeries(field, {-e: c.inverse()})
                 return
-            prec = data.draw(st.integers(-2, 12))
+            asked = prec = data.draw(st.integers(-2, 12))
         else:
+            # a truncated series determines its inverse only so far
+            asked = data.draw(st.one_of(st.none(), st.integers(-2, 12)))
             prec = a.prec - 2 * min(a.coeffs)
-        inv = a.inverse(prec=prec if a.prec is None else None)
+            if asked is not None:
+                prec = min(prec, asked)
+        inv = a.inverse(prec=asked)
         assert (inv.coeffs, inv.prec) == (reference_inverse(a, prec), prec)
 
     def test_cancellation_to_zero(self, name):

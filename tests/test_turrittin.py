@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltdirac import (DiffOperator, ExpForm, FieldHandle, LaurentSeries,
-                     UniPoly, as_invariant, base_change, companion, deg_x,
-                     direct_sum, exp_module, irregularity, lt_decompose,
-                     newton_polygon, parse_operator, regular_module)
+from ltdirac import (ConnectionMatrix, DiffOperator, ExpForm, FieldHandle,
+                     LaurentSeries, UniPoly, as_invariant, base_change,
+                     companion, deg_x, direct_sum, exp_module, irregularity,
+                     lt_decompose, newton_polygon, parse_operator,
+                     regular_module, turrittin)
 from ltdirac.errors import PrecisionExhausted
 from ltdirac.turrittin import _cyclic_operator
 
@@ -301,6 +302,27 @@ def _differential_operators(draw):
                                    min_size=int(i == order), max_size=3))
               for i in range(order + 1)]
     return DiffOperator(Q, [LaurentSeries(Q, c) for c in coeffs])
+
+
+class TestCyclicVectors:
+    def test_seeded_random_candidate(self, monkeypatch):
+        """On [[0, 0], [b, b]], b = 1/(x^2 - x), the vectors e1, (1, 1)
+        and (1, x) are not cyclic; the first random candidate is."""
+        drawn = []
+        candidates = turrittin._cyclic_vectors
+
+        def recorded(field, size):
+            for vec in candidates(field, size):
+                drawn.append(vec)
+                yield vec
+
+        monkeypatch.setattr(turrittin, "_cyclic_vectors", recorded)
+        b = LaurentSeries(Q, {1: -1, 2: 1}).inverse(prec=23)
+        zero = LaurentSeries.zero(Q)
+        dec = lt_decompose(ConnectionMatrix(Q, [[zero, zero], [b, b]]))
+        assert len(drawn) == 4
+        assert dec.regular_component().rank == 2
+        assert dec.total_rank == 2
 
 
 class TestRoutesAgree:
