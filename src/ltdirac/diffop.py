@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import PrecisionTooLow, RamificationMismatch
 from .exactalg import UniPoly, join_terms
-from .puiseux import ExpForm
 from .series import LaurentSeries
 
 
@@ -334,12 +333,6 @@ class ConnectionMatrix:
             return NotImplemented
         return (self.size == other.size and self.ram == other.ram
                 and all(a == b for ra, rb in zip(self.rows, other.rows)
-                        for a, b in zip(ra, rb)))
-
-    def eq_to_precision(self, other):
-        return (self.size == other.size and self.ram == other.ram
-                and all(a.eq_to_precision(b)
-                        for ra, rb in zip(self.rows, other.rows)
                         for a, b in zip(ra, rb)))
 
     def __repr__(self):

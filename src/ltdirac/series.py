@@ -9,7 +9,7 @@ coefficients raise PrecisionTooLow instead of degrading silently.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .errors import PrecisionTooLow
 from .exactalg import AlgElem, _elem, _reduce, render_terms
@@ -23,15 +23,18 @@ def _min_prec(a, b):
     return min(a, b)
 
 
-# -- integer kernels ---------------------------------------------------
+# -- the integer kernel ------------------------------------------------
 #
-# A product or an inverse sums many coefficient products into each
-# output coefficient.  The kernels write every coefficient of a series
-# over one common integer denominator and every element as one integer,
-# its numerator polynomial evaluated at z = 2^k (Kronecker substitution,
-# with k wide enough that no digit of a sum overflows), so the inner
-# loops multiply and add plain integers.  Each output coefficient is then
+# A product sums many coefficient products into each output coefficient.
+# The one kernel, _product, writes every coefficient of a series over one
+# common integer denominator and every element as one integer, its
+# numerator polynomial evaluated at z = 2^k (Kronecker substitution, with
+# k wide enough that no digit of a sum overflows), so the inner loops
+# multiply and add plain integers.  Each output coefficient is then
 # unpacked, reduced modulo abs_mod and brought to lowest terms once.
+# LaurentSeries.inverse uses it too, through Newton's iteration, which
+# needs nothing but products (von zur Gathen & Gerhard, Modern Computer
+# Algebra, 9.1).
 
 
 def _scaled(coeffs):
@@ -235,54 +238,22 @@ class LaurentSeries:
         if prec is None:
             raise PrecisionTooLow(
                 "inverting a non-monomial exact series needs a target precision")
-        # self = t^v sum_e r_e t^e with r_0 = lead, so 1/self = t^-v
-        # sum_t y_t t^t with y_0 = 1/lead and y_t = -(1/lead) sum_(e>=1)
-        # r_e y_(t-e), wanted below t^(prec+v).  Each sum is taken over
-        # the denominator den*q*d, for r_e = R_e/den, 1/lead = il/d and q
-        # the lcm of the denominators of the earlier y_j, and y_t is
-        # normalized once.
-        field = self.field
-        n, mod = field.abs_degree, field.abs_mod
-        den, terms = _scaled(self.coeffs)
-        inv = lead.inverse()
-        il, d = inv.num, inv.den
-        rs = [(e - v, r) for e, r in terms[1:]]
-        length = prec + v
-        out = {-v: inv} if length > 0 else {}
-        ys = [(il, d)]
-        q = d
-        # digit bound: R_e below 2^rb, every y_j numerator times q/q_j
-        # below 2^(ms + bits(q)), il below 2^ilb
-        rb, ilb = _bits(r for _, r in rs), _bits((il,))
-        ms = ilb - d.bit_length() + 1
-        k, pr, pn, pil = 0, [], [], 0
-        for t in range(1, length):
-            need = rb + ms + q.bit_length() + ilb \
-                + (t * n * n).bit_length() + 1
-            if need > k:  # widen with room to spare: repacking stays rare
-                k = 2 * need
-                pr = [(e, _pack(r, k)) for e, r in rs]
-                pn = [_pack(num, k) for num, _ in ys]
-                pil = _pack(il, k)
-            acc = 0
-            for e, r in pr:
-                if e > t:
-                    break
-                j = t - e
-                acc += r * pn[j] * (q // ys[j][1])
-            if not acc:
-                ys.append((field.zero.num, 1))
-                pn.append(0)
-                continue
-            y = _elem(field, _reduce(_unpack(-acc * pil, k, 3 * n - 2), mod),
-                      den * q * d)
-            ys.append((y.num, y.den))
-            pn.append(_pack(y.num, k))
-            ms = max(ms, _bits((y.num,)) - y.den.bit_length() + 1)
-            if q % y.den:
-                q = q // gcd(q, y.den) * y.den
-            out[t - v] = y
-        return LaurentSeries(field, out, prec)
+        # Newton's iteration y <- y - y*(a*y - 1) for 1/a, a = self/t^v:
+        # with y known below t^done, a*y - 1 starts at t^done, and each
+        # step doubles the known length, up to the t^(prec+v) that
+        # 1/self = t^-v/a needs below t^prec.
+        field, length = self.field, prec + v
+        y, known = {0: lead.inverse()}, 1
+        while known < length:
+            done, known = known, min(2 * known, length)
+            a = {e - v: c for e, c in self.coeffs.items() if e - v < known}
+            err = {e: c for e, c in _product(field, a, y, known).items()
+                   if e >= done and not c.is_zero()}
+            if err:
+                y.update((e, -c) for e, c in
+                         _product(field, y, err, known).items())
+        # the constructor drops y_0 when length <= 0, and zero terms
+        return LaurentSeries(field, {e - v: y[e] for e in sorted(y)}, prec)
 
     def derivative(self):
         out = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}

@@ -6,7 +6,8 @@ inputs for the decomposition), plus ``subst_zeta`` and ``descend``,
 which list an orbit's values explicitly and give the divisor that
 ``bracket_values`` is checked against, ``compose_scaled`` and
 ``uniformizer_change``, which state the uniformizer scaling law on
-closed points and on whole divisors, and the CLI requests behind
+closed points and on whole divisors, ``symbol_divisor``, Laurent's
+symbol read off the Newton polygon alone, and the CLI requests behind
 ``tests/golden/``.
 """
 
@@ -16,7 +17,8 @@ from fractions import Fraction
 from ltdirac import (DiffOperator, DiracDivisor, ExpForm, FieldHandle,
                      LaurentSeries, UniPoly, as_invariant, coordinate_scale,
                      direct_sum, exp_module, lt_decompose, minimal_poly,
-                     parse_operator, regular_module)
+                     newton_polygon, parse_operator, poly_factor,
+                     regular_module)
 
 QQ = FieldHandle.rationals()
 
@@ -202,3 +204,25 @@ def uniformizer_change(op, r, g0):
         for i, a in enumerate(op.coeffs)])
     return (as_invariant(lt_decompose(op), r),
             as_invariant(lt_decompose(moved), r), coordinate_scale(g0, n, k))
+
+
+def symbol_divisor(op, r):
+    """Laurent's symbol of ``op`` at slope r > 1 as a divisor, from the
+    Newton polygon alone: the origin carries the length of the polygon
+    below slope r - 1 (the regular part included), and the closed points
+    are the irreducible factors over the field of e(-y), e the edge
+    polynomial of slope r - 1 (none when r - 1 is not a slope), each
+    with its multiplicity in e(-y).  ``as_invariant`` refines it: a
+    point of multiplicity m carries between m and m^2, exactly 1 when
+    m = 1, and the origin between its mass N and N^2."""
+    s = Fraction(r) - 1
+    entries = []
+    below = 0
+    for slope, length, edge in newton_polygon(op).edges:
+        if slope < s:
+            below += length
+        elif slope == s:
+            entries += poly_factor(compose_scaled(edge, -1))
+    if below:
+        entries.append((UniPoly(op.field, [1, 0]), below))
+    return DiracDivisor(op.field, entries)

@@ -2,6 +2,7 @@
 trips, slope oracles, divisor values, descent integrality, uniformizer
 laws and the command-line surface."""
 
+import ast
 import json
 import pathlib
 import random
@@ -335,3 +336,27 @@ class TestDocumentation:
         names = {w for code in blocks + spans
                  for w in re.findall(r"[A-Za-z_]\w*", code)}
         assert [n for n in ltdirac.__all__ if n not in names] == []
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        """Every name a module of the package binds by ``import`` (not
+        ``from __future__``) is read somewhere in that module;
+        ``__init__.py`` imports to re-export and is left out."""
+        unused = []
+        for path in sorted(pathlib.Path(ltdirac.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            bound = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        bound[name] = node.lineno
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}"
+                       for name, line in bound.items() if name not in read]
+        assert unused == []

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -351,13 +352,48 @@ def _products(draw, name):
     return f
 
 
+def _sympy_norm(h, s):
+    """Res_z(abs_mod(z), h(y - s*z)) by sympy, for h over a field with
+    absolute generator z: the norm over Q of h shifted by s*z."""
+    y, z = sp.Symbol("y"), sp.Symbol("z")
+    d = h.degree()
+    shifted = sum(sp.Poly([sp.Rational(x, c.den) for x in c.num], z).as_expr()
+                  * (y - s * z) ** (d - i) for i, c in enumerate(h.coeffs))
+    return sp.Poly(sp.resultant(sp.Poly(h.field.abs_mod, z).as_expr(),
+                                shifted, z), y)
+
+
+def _assert_certified(factors):
+    """The factors are the factorization into irreducibles, given that
+    their product is checked apart: they are monic, pairwise distinct
+    and sorted by key(), and a factor h of degree > 1 is irreducible
+    because at the first shift s = 0, 1, ... at which the norm of
+    h(y - s*z) is squarefree, that norm is irreducible over Q (Trager,
+    SYMSAC 1976: the factors of a squarefree norm give those of h)."""
+    keys = [fac.key() for fac, _ in factors]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for fac, mult in factors:
+        assert fac.coeffs[0] == fac.field.one and mult >= 1
+        if fac.degree() > 1:
+            for s in itertools.count():
+                norm = _sympy_norm(fac, s)
+                if norm.is_sqf:
+                    break
+            assert [m for _, m in norm.factor_list()[1]] == [1]
+
+
 @pytest.mark.parametrize("name", sorted(FACTOR_FIELDS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_poly_factor_against_sympy(name, data):
+    """Against sympy's factoring over the field, or over the degree-8
+    tower, where that takes seconds, against sympy's norms over Q."""
     f = data.draw(_products(name))
     factors = poly_factor(f)
-    assert factors == _sympy_factors(f)
+    if name == "tower8":
+        _assert_certified(factors)
+    else:
+        assert factors == _sympy_factors(f)
     product = UniPoly(f.field, [1])
     for fac, mult in factors:
         product = product * fac ** mult

@@ -195,6 +195,19 @@ def _series(draw, field, max_terms=6):
     return LaurentSeries(field, coeffs, prec)
 
 
+@st.composite
+def _far_series(draw, field):
+    """A series of valuation -3..3 with up to six terms below x^41,
+    exact or truncated up to x^44: its inverse is asked far out, at
+    lengths that are mostly not powers of two."""
+    v = draw(st.integers(-3, 3))
+    exps = draw(st.lists(st.integers(v + 1, 40), max_size=5, unique=True))
+    coeffs = {e: draw(_elements(field)) for e in exps}
+    coeffs[v] = draw(_elements(field).filter(lambda c: not c.is_zero()))
+    prec = draw(st.one_of(st.none(), st.integers(v + 1, 44)))
+    return LaurentSeries(field, coeffs, prec)
+
+
 def _mirror(s):
     """s(-x): a product with it cancels the odd coefficients."""
     return LaurentSeries(s.field, {e: -c if e % 2 else c
@@ -214,21 +227,23 @@ class TestKernelsAgainstReference:
             product = x * y
             assert (product.coeffs, product.prec) == reference_mul(x, y)
 
-    @settings(max_examples=25)
+    @settings(max_examples=50)
     @given(data=st.data())
     def test_inverse(self, name, data):
         field = KERNEL_FIELDS[name]
-        a = data.draw(_series(field))
+        far = data.draw(st.booleans())
+        a = data.draw(_far_series(field) if far else _series(field))
+        asking = st.integers(-2, 40 if far else 12)
         assume(a.coeffs)
         if a.prec is None:
             if len(a.coeffs) == 1:
                 e, c = next(iter(a.coeffs.items()))
                 assert a.inverse() == LaurentSeries(field, {-e: c.inverse()})
                 return
-            asked = prec = data.draw(st.integers(-2, 12))
+            asked = prec = data.draw(asking)
         else:
             # a truncated series determines its inverse only so far
-            asked = data.draw(st.one_of(st.none(), st.integers(-2, 12)))
+            asked = data.draw(st.one_of(st.none(), asking))
             prec = a.prec - 2 * min(a.coeffs)
             if asked is not None:
                 prec = min(prec, asked)

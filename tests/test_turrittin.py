@@ -17,7 +17,7 @@ from ltdirac.turrittin import _cyclic_operator
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
                      catalog_module, catalog_operator, orbit_key,
                      rational_form, rational_orbit_key, scale_points,
-                     uniformizer_change)
+                     symbol_divisor, uniformizer_change)
 
 Q = FieldHandle.rationals()
 SQRT2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
@@ -287,21 +287,25 @@ def _matrix_route(op, cap=64):
 
 
 @st.composite
-def _differential_operators(draw):
-    """Operators over Q of order at most 4 with slope denominators up to
-    4: the split-orbit family x^(q+p)*D^q - c^q, or sparse random
-    coefficients of degree at most 6."""
+def _differential_operators(draw, field=Q):
+    """Operators over ``field`` (Q or SQRT2) of order at most 4 with slope
+    denominators up to 4: the split-orbit family x^(q+p)*D^q - c^q, or
+    sparse random coefficients of degree at most 6, irrational ones too
+    over SQRT2."""
     if draw(st.booleans()):
         q = draw(st.integers(2, 4))
         p = draw(st.sampled_from([p for p in (1, 2, 3, 5) if gcd(p, q) == 1]))
         c = draw(st.integers(1, 5))
-        return parse_operator(f"x^{q + p}*D^{q} - {c ** q}")
+        return parse_operator(f"x^{q + p}*D^{q} - {c ** q}", field)
     order = draw(st.integers(1, 4))
-    values = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    units = (-3, -2, -1, 1, 2, 3)
+    if field is SQRT2:
+        units += (SQRT2.gen(), -SQRT2.gen(), 1 + SQRT2.gen())
+    values = st.sampled_from(units)
     coeffs = [draw(st.dictionaries(st.integers(0, 6), values,
                                    min_size=int(i == order), max_size=3))
               for i in range(order + 1)]
-    return DiffOperator(Q, [LaurentSeries(Q, c) for c in coeffs])
+    return DiffOperator(field, [LaurentSeries(field, c) for c in coeffs])
 
 
 class TestCyclicVectors:
@@ -332,6 +336,63 @@ class TestRoutesAgree:
         dec = _matrix_route(op)
         assert dec is not None, "matrix route needs more than order 64"
         assert dec == lt_decompose(op)
+
+
+def _symbol_rs(op):
+    """r = 1 + s at every positive slope s of ``op``, and with r - 1
+    halfway below its first slope, between neighbours and past its
+    last."""
+    slopes = [s for s, _ in newton_polygon(op).slopes() if s > 0]
+    ends = [Fraction(0)] + slopes + [slopes[-1] + 2 if slopes else Fraction(2)]
+    return [1 + s for s in slopes] + [1 + (a + b) / 2
+                                      for a, b in zip(ends, ends[1:])]
+
+
+def _assert_refines_symbol(op, dec):
+    """``as_invariant(dec, r)`` refines Laurent's symbol of ``op`` at
+    every r of ``_symbol_rs``: a point of multiplicity m in the symbol
+    carries between m and m^2, exactly 1 when m = 1, and the origin
+    between the symbol's mass N and N^2."""
+    origin = UniPoly(op.field, [1, 0]).key()
+    for r in _symbol_rs(op):
+        sym = {p.key(): m for p, m in symbol_divisor(op, r).entries.items()}
+        div = {p.key(): m for p, m in as_invariant(dec, r).entries.items()}
+        low, mass = sym.pop(origin, 0), div.pop(origin, 0)
+        assert low <= mass <= low ** 2, r
+        # the same points off the origin, so none when r - 1 is no slope
+        assert div.keys() == sym.keys(), r
+        for key, m in sym.items():
+            assert m <= div[key] <= m ** 2, r
+            assert m > 1 or div[key] == 1, r
+
+
+class TestLaurentSymbol:
+    """The divisor against Laurent's symbol, built from the Newton
+    polygon and the factored edge polynomial only, on both routes."""
+
+    @pytest.mark.parametrize("name", [entry[0] for entry in OPERATOR_CATALOG])
+    def test_catalog(self, name):
+        op = catalog_operator(name)
+        _assert_refines_symbol(op, lt_decompose(op))
+        _assert_refines_symbol(op, _matrix_route(op))
+
+    @settings(max_examples=25)
+    @given(case=_split_orbit_family())
+    def test_split_orbit_family(self, case):
+        op, _ = case
+        _assert_refines_symbol(op, lt_decompose(op))
+
+    @settings(max_examples=30)
+    @given(op=st.sampled_from((Q, SQRT2)).flatmap(_differential_operators))
+    def test_operators(self, op):
+        _assert_refines_symbol(op, lt_decompose(op))
+
+    @settings(max_examples=20)
+    @given(op=st.sampled_from((Q, SQRT2)).flatmap(_differential_operators))
+    def test_matrix_route(self, op):
+        dec = _matrix_route(op)
+        assert dec is not None, "matrix route needs more than order 64"
+        _assert_refines_symbol(op, dec)
 
 
 def _perturbed(operator, tails):
