@@ -66,6 +66,8 @@ def _parse_r(text):
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"slope r {text!r} has a zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -157,29 +159,48 @@ def _build_argparser():
     return ap
 
 
-def main(argv=None):
-    args = _build_argparser().parse_args(argv)
-    settings = {"field": "Q", "mode": "slopes", "fmt": "structured",
-                "op": None, "r": None, "n": None, "k": None}
+#: the JSON type of each setting, given by the flag of the same name or
+#: by a key of the --config file
+_SETTING_TYPES = {"op": str, "field": str, "mode": str, "r": str, "n": int,
+                  "k": int, "fmt": str}
+
+
+def _settings(args):
+    """The operator text and JobSpec's other keyword arguments, each flag
+    over the --config file; what neither gives keeps JobSpec's default.
+    ValueError when the file cannot be read or is not a JSON object,
+    gives a setting a value of the wrong type (null leaves it unset), or
+    when no operator is given."""
+    loaded = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        for key in settings:
-            if key in loaded:
-                settings[key] = loaded[key]
-    for key in settings:
-        value = getattr(args, key)
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                loaded = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError("config is not a JSON object")
+    settings = {}
+    for key, kind in _SETTING_TYPES.items():
+        value = loaded.get(key)
+        if value is not None and type(value) is not kind:
+            raise ValueError(f"config value {key!r} must be of type "
+                             f"{kind.__name__}, not {type(value).__name__}")
+        if getattr(args, key) is not None:
+            value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    if settings["op"] is None:
-        print("error: no operator given (--op or config)", file=sys.stderr)
-        return 2
-    if settings["op"] == "-":
-        settings["op"] = sys.stdin.read().strip()
+    op = settings.pop("op", None)
+    if op is None:
+        raise ValueError("no operator given (--op or config)")
+    return (sys.stdin.read().strip() if op == "-" else op), settings
+
+
+def main(argv=None):
+    args = _build_argparser().parse_args(argv)
     try:
-        spec = JobSpec(settings["op"], settings["field"], settings["mode"],
-                       settings["r"], settings["n"], settings["k"],
-                       settings["fmt"])
+        op, settings = _settings(args)
+        spec = JobSpec(op, **settings)
         report = run(spec)
     except ParseError as exc:
         print(f"parse error: {exc} (position {exc.position}, "

@@ -14,8 +14,10 @@ for a monic squarefree f over K, shift its root y by an integer multiple
 s of the absolute generator of K until y + s*z has a minimal polynomial
 over Q of full degree, the squarefree norm of f(y - s*z).  ``extend``
 takes it as the new absolute modulus; ``poly_factor`` factors it over Q
-with the factorizer over Z of ``_factor_rational``.  The library needs
-no SymPy; the tests use it as a reference.
+with the factorizer over Z of ``_factor_rational``.  ``poly_factor``
+factors only the squarefree part f / gcd(f, f') and counts each
+factor's multiplicity by trial division.  The library needs no SymPy;
+the tests use it as a reference.
 
 Binomials are factored only when they can split.  By Capelli's theorem
 Y^m - lam is reducible over K exactly when lam is a p-th power in K for
@@ -667,52 +669,27 @@ class UniPoly:
 def poly_factor(f):
     """Monic irreducible factors with multiplicities, canonically sorted.
 
-    A polynomial with rational coefficients is factored over Q first: a
-    factor whose degree is prime to [K:Q] stays irreducible over K (the
-    field of one of its roots has degree over Q divisible by both), so
-    only the other factors go through factorization over K."""
+    Only the squarefree part g = f / gcd(f, f') is factored; the
+    multiplicity of each factor in f is found by trial division.  A
+    rational g is factored over Q first: a factor whose degree is prime
+    to [K:Q] stays irreducible over K (the field of one of its roots has
+    degree over Q divisible by both), so only the other factors go
+    through factorization over K."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     field = f.field
     if f.degree() < 2:
         return [(f.monic(), 1)] if f.degree() == 1 else []
-    if all(c.is_rational() for c in f.coeffs):
-        out = []
-        for coeffs, mult in _factor_rational([c.as_fraction()
-                                              for c in f.coeffs]):
-            h = UniPoly(field, coeffs)
-            if gcd(h.degree(), field.abs_degree) == 1:
-                out.append((h, mult))
-            else:
-                out += [(g, mult) for g, _ in _factor_over_field(h)]
-    else:
-        out = _factor_over_field(f)
-    out.sort(key=lambda fm: fm[0].key())
-    return out
-
-
-def _factor_over_field(f):
-    """poly_factor over a number field K, by Trager's algorithm: with s,
-    u and the norm N of the squarefree part g of f as in ``_norm``, each
-    factor h of N over Q gives one factor gcd(g, h(y + s*u)) of g over
-    K.  Multiplicities in f come from trial division."""
-    field = f.field
     f = f.monic()
     g = divmod(f, f.gcd(f.derivative()))[0]
-    factors = [g]
-    if g.degree() > 1:
-        s, _, norm = _norm(g)
-        parts = _factor_rational(norm)
-        if len(parts) > 1:
-            su = field.abs_gen() * s
-            factors = []
-            for h, _ in parts:
-                # h(gamma) in K[y]/(g), by Horner
-                rem = [field.zero] * g.degree()
-                for c in h:
-                    rem = _times_shifted_gen(rem, g.coeffs, su)
-                    rem[-1] = rem[-1] + c
-                factors.append(g.gcd(UniPoly(field, rem)))
+    if all(c.is_rational() for c in g.coeffs):
+        factors = []
+        for coeffs in _factor_rational([c.as_fraction() for c in g.coeffs]):
+            h = UniPoly(field, coeffs)
+            factors += [h] if gcd(h.degree(), field.abs_degree) == 1 \
+                else _factor_over_field(h)
+    else:
+        factors = _factor_over_field(g)
     out = []
     for p in factors:
         mult, (quo, rem) = 0, divmod(f, p)
@@ -720,24 +697,47 @@ def _factor_over_field(f):
             mult, f = mult + 1, quo
             quo, rem = divmod(f, p)
         out.append((p, mult))
+    out.sort(key=lambda fm: fm[0].key())
     return out
 
 
+def _factor_over_field(g):
+    """Irreducible factors of a monic squarefree g over a number field K,
+    by Trager's algorithm: with s, u and the norm N of g as in ``_norm``,
+    each factor h of N over Q gives one factor gcd(g, h(y + s*u)) of g
+    over K."""
+    if g.degree() < 2:
+        return [g]
+    field = g.field
+    s, _, norm = _norm(g)
+    parts = _factor_rational(norm)
+    if len(parts) == 1:
+        return [g]
+    su = field.abs_gen() * s
+    factors = []
+    for h in parts:
+        # h(gamma) in K[y]/(g), by Horner
+        rem = [field.zero] * g.degree()
+        for c in h:
+            rem = _times_shifted_gen(rem, g.coeffs, su)
+            rem[-1] = rem[-1] + c
+        factors.append(g.gcd(UniPoly(field, rem)))
+    return factors
+
+
 def _factor_rational(coeffs):
-    """Monic irreducible factors over Q, with multiplicities, of the
-    polynomial with descending rational coefficients ``coeffs``; each
-    factor is a list of descending Fractions.
+    """Monic irreducible factors over Q of the squarefree polynomial with
+    descending rational coefficients ``coeffs``, each a list of
+    descending Fractions: the squarefree part taken by ``poly_factor``
+    or a norm from ``_norm``.
 
     The factoring is our own, over Z (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, ch. 14-16): the primitive integer multiple of the
-    polynomial is split by Yun's squarefree decomposition, and each
-    squarefree part by ``_factor_squarefree``.  SymPy is needed only by
-    the tests, which check this against its ``factor_list``."""
+    Computer Algebra*, ch. 14-16): ``_factor_squarefree`` splits the
+    primitive integer multiple of the polynomial.  SymPy is needed only
+    by the tests, which check this against its ``factor_list``."""
     den = lcm(*(c.denominator for c in coeffs))
     f = _zx_primitive([c.numerator * (den // c.denominator) for c in coeffs])
-    return [([Fraction(c, g[0]) for c in g], mult)
-            for part, mult in _zx_squarefree(f)
-            for g in _factor_squarefree(part)]
+    return [[Fraction(c, g[0]) for c in g] for g in _factor_squarefree(f)]
 
 
 # -- integer polynomials: descending lists of ints ---------------------
@@ -754,67 +754,6 @@ def _zx_primitive(a):
 def _zx_derivative(a):
     n = len(a) - 1
     return [c * (n - i) for i, c in enumerate(a[:-1])]
-
-
-def _zx_quo(a, b):
-    """The exact quotient a/b in Z[x]; b divides a."""
-    rem, quo = list(a), []
-    lead, tail = b[0], b[1:]
-    for i in range(len(a) - len(tail)):
-        c = rem[i] // lead
-        quo.append(c)
-        if c:
-            for j, y in enumerate(tail, i + 1):
-                rem[j] -= c * y
-    return quo
-
-
-def _zx_gcd(a, b):
-    """Primitive gcd with positive leading coefficient of the nonzero a
-    and b (b may be zero), by the primitive remainder sequence."""
-    if not b:
-        return _zx_primitive(a)
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _zx_primitive(a), _zx_primitive(b)
-    while True:
-        rem, lead, n = list(a), b[0], len(b) - 1
-        for i in range(len(a) - n):  # pseudo-remainder of a by b
-            c = rem[i]
-            rem = [lead * x for x in rem]
-            for k in range(1, n + 1):
-                rem[i + k] -= c * b[k]
-        rem = rem[len(a) - n:]
-        while rem and not rem[0]:
-            rem.pop(0)
-        if not rem:
-            return b
-        if len(rem) == 1:
-            return [1]
-        a, b = b, _zx_primitive(rem)
-
-
-def _zx_squarefree(f):
-    """Yun's squarefree decomposition of the primitive f with positive
-    leading coefficient: the pairs (a_i, i), deg a_i > 0, with
-    f = prod a_i^i and the a_i primitive, squarefree and coprime."""
-    df = _zx_derivative(f)
-    a = _zx_gcd(f, df)
-    if len(a) == 1:
-        return [(f, 1)] if len(f) > 1 else []
-    b, c = _zx_quo(f, a), _zx_quo(df, a)
-    out, i = [], 1
-    while len(b) > 1:
-        db = _zx_derivative(b)
-        width = max(len(c), len(db))
-        d = _gf_strip([x - y for x, y in zip([0] * (width - len(c)) + c,
-                                             [0] * (width - len(db)) + db)])
-        a = _zx_gcd(b, d)
-        b, c = _zx_quo(b, a), _zx_quo(d, a)
-        if len(a) > 1:
-            out.append((a, i))
-        i += 1
-    return out
 
 
 def _factor_squarefree(f):

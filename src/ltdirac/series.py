@@ -274,16 +274,6 @@ class LaurentSeries:
     def coeff(self, e):
         return self.coeffs.get(e, self.field.zero)
 
-    def eq_to_precision(self, other):
-        prec = _min_prec(self.prec, other.prec)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if prec is not None and e >= prec:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .diffop import ConnectionMatrix, DiffOperator, newton_polygon
 from .errors import InternalError, PrecisionExhausted, PrecisionTooLow
@@ -70,7 +70,7 @@ class LTDecomposition:
         self.base_field = base_field
         self.components = components
         self.operator = operator
-        self.ram_index = _lcm_all(c.form.m for c in components) if components else 1
+        self.ram_index = lcm(*(c.form.m for c in components))
         self.total_rank = sum(c.orbit_size * c.rank for c in components)
 
     def regular_component(self):
@@ -91,13 +91,6 @@ class LTDecomposition:
     def __repr__(self):
         body = ", ".join(repr(c) for c in self.components)
         return f"LTDecomposition([{body}], m={self.ram_index})"
-
-
-def _lcm_all(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def irregularity(dec):

@@ -3,6 +3,7 @@ trips, slope oracles, divisor values, descent integrality, uniformizer
 laws and the command-line surface."""
 
 import ast
+import collections
 import json
 import pathlib
 import random
@@ -360,3 +361,31 @@ class TestDocumentation:
             unused += [f"{path.name}:{line} {name}"
                        for name, line in bound.items() if name not in read]
         assert unused == []
+
+    def test_no_private_function_is_left_unreferenced(self):
+        """Every module-level private function of the package is named
+        somewhere in the package outside its own body: read, looked up
+        as an attribute or imported by ``from``."""
+        def names(node):
+            out = []
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    out.append(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    out.append(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    out += [alias.name for alias in sub.names]
+            return out
+
+        package = pathlib.Path(ltdirac.__file__).parent
+        trees = {path.name: ast.parse(path.read_text())
+                 for path in sorted(package.glob("*.py"))}
+        everywhere = collections.Counter(
+            name for tree in trees.values() for name in names(tree))
+        unreferenced = [
+            f"{fname}:{node.lineno} {node.name}"
+            for fname, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and everywhere[node.name] == names(node).count(node.name)]
+        assert unreferenced == []

@@ -96,6 +96,32 @@ class TestExitCodes:
         assert main([]) == 2
         capsys.readouterr()
 
+    def test_zero_denominator_slope(self, capsys):
+        argv = ["--op", "x^2*D-1", "--mode", "invariant", "--r", "3/0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: slope r '3/0' has a zero denominator\n"
+
+    @pytest.mark.parametrize("text", [None, "{\"op\": ", "[\"op\"]"],
+                             ids=["missing", "bad-json", "not-an-object"])
+    def test_unreadable_config(self, text, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["--config", str(cfg), "--op", "x^2*D - 1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("setting", [{"r": 2.5}, {"n": "2", "k": 3}],
+                             ids=["r-float", "n-string"])
+    def test_config_value_of_wrong_type(self, setting, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(setting, op="x^3*D^2 - 1",
+                                       mode="invariant")))
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config value ") and err.count("\n") == 1
+
     def test_code_table(self):
         assert exit_code_for(ParseError("x", 0, ())) == 2
         assert exit_code_for(Unsupported("x")) == 3

@@ -400,6 +400,25 @@ def test_poly_factor_against_sympy(name, data):
     assert product == f.monic()
 
 
+@pytest.mark.parametrize("name", sorted(FACTOR_FIELDS))
+def test_poly_factor_repeated_splitting_factors(name):
+    """A rational polynomial that is not squarefree and whose squarefree
+    part splits over the field: each SPLITTING entry squared, times
+    y + 1."""
+    field = FACTOR_FIELDS[name]
+    for coeffs in SPLITTING[name]:
+        f = UniPoly(field, coeffs) ** 2 * UniPoly(field, [1, 1])
+        factors = poly_factor(f)
+        if name == "tower8":
+            _assert_certified(factors)
+        else:
+            assert factors == _sympy_factors(f)
+        product = UniPoly(field, [1])
+        for fac, mult in factors:
+            product = product * fac ** mult
+        assert product == f
+
+
 # -- factoring over Q against sympy's factor_list ------------------------
 
 
@@ -408,7 +427,7 @@ _X = sp.Symbol("x")
 
 def _sympy_factor_list(poly):
     """The monic factors over Q of a sympy Poly with multiplicities, as
-    ``_factor_rational`` returns them, sorted."""
+    descending Fractions, sorted."""
     return sorted(([Fraction(int(c.p), int(c.q))
                     for c in fac.monic().all_coeffs()], mult)
                   for fac, mult in poly.factor_list()[1])
@@ -416,8 +435,9 @@ def _sympy_factor_list(poly):
 
 def _check_factor_rational(poly):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
-    assert sorted(exactalg._factor_rational(coeffs)) == \
-        _sympy_factor_list(poly)
+    factors = poly_factor(UniPoly(Q, coeffs))
+    assert sorted(([c.as_fraction() for c in fac.coeffs], mult)
+                  for fac, mult in factors) == _sympy_factor_list(poly)
 
 
 _small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -470,7 +490,7 @@ def test_factor_rational_irreducible_splitting_everywhere(coeffs):
     """Irreducible over Q, yet reducible modulo every prime: only the
     recombination of the lifted factors shows it."""
     assert exactalg._factor_rational([Fraction(c) for c in coeffs]) == \
-        [([Fraction(c) for c in coeffs], 1)]
+        [[Fraction(c) for c in coeffs]]
 
 
 @pytest.mark.parametrize("n", range(1, 25))
