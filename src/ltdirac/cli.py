@@ -36,6 +36,8 @@ class JobSpec:
         self.fmt = fmt
         if mode not in ("slopes", "decompose", "invariant"):
             raise ValueError(f"unknown mode {mode!r}")
+        if fmt not in ("text", "structured"):
+            raise ValueError(f"unknown format {fmt!r}")
         if mode == "invariant":
             has_r = r is not None
             has_nk = n is not None or k is not None

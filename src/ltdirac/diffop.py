@@ -21,30 +21,25 @@ from .series import LaurentSeries
 
 
 class DiffOperator:
-    """Sum a_i * D^i with Laurent-polynomial coefficients; D = d/dvar.
+    """Sum a_i * D^i with Laurent-polynomial coefficients; D = d/dx."""
 
-    ``ram`` records how the operator's variable relates to x: var^ram = x
-    (ram = 1 for operators over K((x)) themselves); var is t unless ram = 1.
-    """
+    __slots__ = ("field", "coeffs")
 
-    __slots__ = ("field", "coeffs", "ram")
-
-    def __init__(self, field, coeffs, ram=1):
+    def __init__(self, field, coeffs):
         coeffs = [c if isinstance(c, LaurentSeries)
                   else LaurentSeries(field, {0: c}) for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.field = field
         self.coeffs = coeffs
-        self.ram = ram
 
     @staticmethod
-    def zero(field, ram=1):
-        return DiffOperator(field, [], ram)
+    def zero(field):
+        return DiffOperator(field, [])
 
     @staticmethod
-    def identity(field, ram=1):
-        return DiffOperator(field, [LaurentSeries.one(field)], ram)
+    def identity(field):
+        return DiffOperator(field, [LaurentSeries.one(field)])
 
     @staticmethod
     def derivation(field):
@@ -58,28 +53,24 @@ class DiffOperator:
         return not self.coeffs
 
     def map_to(self, field):
-        return DiffOperator(field, [c.map_to(field) for c in self.coeffs],
-                            self.ram)
+        return DiffOperator(field, [c.map_to(field) for c in self.coeffs])
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         z = LaurentSeries.zero(self.field)
         a = self.coeffs + [z] * (n - len(self.coeffs))
         b = other.coeffs + [z] * (n - len(other.coeffs))
-        return DiffOperator(self.field, [x + y for x, y in zip(a, b)],
-                            self.ram)
+        return DiffOperator(self.field, [x + y for x, y in zip(a, b)])
 
     def __neg__(self):
-        return DiffOperator(self.field, [-c for c in self.coeffs],
-                            self.ram)
+        return DiffOperator(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, series):
         """Left multiplication by a Laurent polynomial."""
-        return DiffOperator(self.field, [series * c for c in self.coeffs],
-                            self.ram)
+        return DiffOperator(self.field, [series * c for c in self.coeffs])
 
     def compose(self, other):
         """Operator product self * other (apply other first)."""
@@ -91,13 +82,13 @@ class DiffOperator:
         return DiffOperator(self.field,
                             [a + b.derivative()
                              for a, b in zip(shifted, self.coeffs)]
-                            + self.coeffs[-1:], self.ram)
+                            + self.coeffs[-1:])
 
     def _expand(self, power, step, coeff=None):
         """Sum of coeff(a_i) * P_i over the coefficients a_i of self, with
         P_0 = power and P_(i+1) = step(P_i): the substitution of the
         order-one operator that ``step`` applies for D."""
-        out = DiffOperator.zero(self.field, power.ram)
+        out = DiffOperator.zero(self.field)
         for i, a in enumerate(self.coeffs):
             if i:
                 power = step(power)
@@ -106,21 +97,22 @@ class DiffOperator:
         return out
 
     def __pow__(self, n):
-        out = DiffOperator.identity(self.field, self.ram)
+        out = DiffOperator.identity(self.field)
         for _ in range(n):
             out = out.compose(self)
         return out
 
     def substitute(self, n, lam, shift):
-        """The operator in u after var = lam*u^n and D_u -> D_u + shift,
-        for a nonzero constant lam and a Laurent polynomial shift in u.
+        """The operator in u after x = lam*u^n and D_u -> D_u + shift,
+        for a nonzero constant lam and a Laurent polynomial shift in u;
+        the result is stored, and printed, with u in the place of x.
 
-        Each coefficient a(var) becomes a(lam*u^n), and D_var becomes
+        Each coefficient a(x) becomes a(lam*u^n), and D_x becomes
         u^(1-n)/(n*lam) * (D_u + shift).  If L annihilates y and
         y = exp(phi) * w with phi' = shift, the result annihilates w."""
         field = self.field
         factor = LaurentSeries.monomial(field, (lam * n).inverse(), 1 - n)
-        ds = factor * shift  # D_var = factor * D_u + ds
+        ds = factor * shift  # D_x = factor * D_u + ds
         powers = {}
 
         def dilate(a):
@@ -131,7 +123,7 @@ class DiffOperator:
                                  None if a.prec is None else a.prec * n)
 
         return self._expand(
-            DiffOperator.identity(field, self.ram * n),
+            DiffOperator.identity(field),
             lambda p: p._left_derivation().scale(factor) + p.scale(ds),
             dilate)
 
@@ -151,26 +143,23 @@ class DiffOperator:
         if shift == 0:
             return self
         return DiffOperator(self.field,
-                            [c.shift(-shift) for c in self.coeffs],
-                            self.ram)
+                            [c.shift(-shift) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return (self.field == other.field and self.coeffs == other.coeffs
-                and self.ram == other.ram)
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"DiffOperator({self.render()})"
 
     def render(self):
-        var = "x" if self.ram == 1 else "t"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c.is_zero():
                 continue
-            cs = c.render(var)
+            cs = c.render()
             if i == 0:
                 parts.append(cs)
                 continue
@@ -296,7 +285,8 @@ def slopes(operator):
 class ConnectionMatrix:
     """Matrix of the derivation in a chosen basis, row convention:
     the derivation sends e_i to sum_j mat[i][j] e_j (plus the naive
-    derivative on coordinates).  ``ram`` as for DiffOperator.
+    derivative on coordinates).  ``ram`` records the variable: the
+    entries are series in t with t^ram = x (ram = 1 over K((x)) itself).
     """
 
     __slots__ = ("field", "size", "rows", "ram")
@@ -378,7 +368,7 @@ def companion(operator, precision):
     d = operator.order()
     if d < 1:
         if d == 0:
-            return ConnectionMatrix(operator.field, [], operator.ram)
+            return ConnectionMatrix(operator.field, [])
         raise ValueError("companion of the zero operator")
     if precision < minimal_precision(d):
         raise PrecisionTooLow(
@@ -399,7 +389,7 @@ def companion(operator, precision):
         a = operator.coeffs[j]
         if not a.is_zero():
             rows[d - 1][j] = rows[d - 1][j] - (a * inv_lead).truncate(precision)
-    return ConnectionMatrix(field, rows, operator.ram)
+    return ConnectionMatrix(field, rows)
 
 
 # -- module constructors (catalog building blocks) -------------------

@@ -68,25 +68,9 @@ class ExpForm:
         return ExpForm(field, self.m,
                        {j: field.embed(c) for j, c in self.coeffs.items()})
 
-    def __add__(self, other):
-        if self.field != other.field:
-            other = other.map_to(self.field)
-        m = self.m * other.m // gcd(self.m, other.m)
-        out = self.scaled_support(m)
-        for j, c in other.scaled_support(m).items():
-            s = out.get(j, self.field.zero) + c
-            if s.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = s
-        return ExpForm(self.field, m, out)
-
     def __neg__(self):
         return ExpForm(self.field, self.m,
                        {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, ExpForm):

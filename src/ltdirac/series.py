@@ -126,8 +126,8 @@ class LaurentSeries:
         return LaurentSeries(field, {0: field.one}, prec)
 
     @staticmethod
-    def monomial(field, coeff, exp, prec=None):
-        return LaurentSeries(field, {exp: coeff}, prec)
+    def monomial(field, coeff, exp):
+        return LaurentSeries(field, {exp: coeff})
 
     # -- structure ---------------------------------------------------
 
@@ -284,11 +284,11 @@ class LaurentSeries:
         return hash((self.prec, tuple(sorted(self.coeffs))))
 
     def __repr__(self):
-        return f"LaurentSeries({self.render('x')})"
+        return f"LaurentSeries({self.render()})"
 
-    def render(self, var="x"):
+    def render(self):
         body = render_terms([(self.coeffs[e], e) for e in sorted(self.coeffs)],
-                            var)
+                            "x")
         if self.prec is not None:
-            body += f" + O({var}^{self.prec})"
+            body += f" + O(x^{self.prec})"
         return body

@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import lcm
 
 from .diffop import ConnectionMatrix, DiffOperator, newton_polygon
-from .errors import InternalError, PrecisionExhausted, PrecisionTooLow
+from .errors import (InternalError, PrecisionExhausted, PrecisionTooLow,
+                     RamificationMismatch)
 from .exactalg import UniPoly, poly_factor, spread_factors
 from .puiseux import ExpForm, deg_x
 from .series import LaurentSeries
@@ -198,10 +199,14 @@ def _decompose_matrix(matrix):
     """Eliminate once and decompose once per precision, doubling it from
     4 * size * (1 + largest pole) up to four times that while the
     recursion asks for more.  A matrix with truncated entries gets one
-    attempt, at its own precision."""
+    attempt, at its own precision.  Only modules over K((x)) (ram = 1)
+    are accepted."""
+    if matrix.ram != 1:
+        raise RamificationMismatch(
+            f"the matrix is in t with t^{matrix.ram} = x; decompose "
+            f"push_forward(matrix, {matrix.ram}), its module over K((x))")
     if matrix.size == 0:
-        return _decompose_operator(
-            DiffOperator.identity(matrix.field, matrix.ram))
+        return _decompose_operator(DiffOperator.identity(matrix.field))
     given = matrix.truncation_order()
     if given is None:
         maxpole = max([0] + [-min(e.coeffs) for row in matrix.rows
@@ -259,7 +264,7 @@ def _cyclic_operator(matrix, prec):
         if sol is None:
             continue
         coeffs = [-a for a in sol] + [LaurentSeries.one(matrix.field)]
-        return DiffOperator(matrix.field, coeffs, work.ram)
+        return DiffOperator(matrix.field, coeffs)
     raise PrecisionTooLow("no cyclic vector found at this precision")
 
 

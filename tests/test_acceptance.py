@@ -362,30 +362,40 @@ class TestDocumentation:
                        for name, line in bound.items() if name not in read]
         assert unused == []
 
-    def test_no_private_function_is_left_unreferenced(self):
-        """Every module-level private function of the package is named
-        somewhere in the package outside its own body: read, looked up
-        as an attribute or imported by ``from``."""
-        def names(node):
-            out = []
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    out.append(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    out.append(sub.attr)
-                elif isinstance(sub, ast.ImportFrom):
-                    out += [alias.name for alias in sub.names]
-            return out
-
+    def test_no_module_contains_an_assert(self):
+        """No module of the package holds an ``assert`` statement, since
+        ``python -O`` strips them: every check raises a typed error."""
         package = pathlib.Path(ltdirac.__file__).parent
-        trees = {path.name: ast.parse(path.read_text())
-                 for path in sorted(package.glob("*.py"))}
-        everywhere = collections.Counter(
-            name for tree in trees.values() for name in names(tree))
-        unreferenced = [
-            f"{fname}:{node.lineno} {node.name}"
-            for fname, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and everywhere[node.name] == names(node).count(node.name)]
-        assert unreferenced == []
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_every_definition_is_reachable(self):
+        """Every module-level function and class of the package is reached
+        from ``ltdirac.__all__`` and ``cli.main`` by following the names
+        and attribute names that reached definitions mention; a class
+        mentions everything in its methods."""
+        package = pathlib.Path(ltdirac.__file__).parent
+        defs = collections.defaultdict(list)
+        for path in sorted(package.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defs[node.name].append((path.name, node))
+        reached, todo = set(), list(ltdirac.__all__) + ["main"]
+        while todo:
+            name = todo.pop()
+            if name in reached or name not in defs:
+                continue
+            reached.add(name)
+            for _, node in defs[name]:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name):
+                        todo.append(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        todo.append(sub.attr)
+        unreached = [f"{fname}:{node.lineno} {name}"
+                     for name, nodes in defs.items() if name not in reached
+                     for fname, node in nodes]
+        assert unreached == []

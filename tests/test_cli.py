@@ -122,6 +122,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config value ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"fmt": "xml"}, "error: unknown format 'xml'\n"),
+        ({"mode": "spectra"}, "error: unknown mode 'spectra'\n")],
+        ids=["fmt", "mode"])
+    def test_config_value_out_of_choices(self, setting, message, capsys,
+                                         tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(setting, op="x^2*D-1")))
+        assert main(["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
     def test_code_table(self):
         assert exit_code_for(ParseError("x", 0, ())) == 2
         assert exit_code_for(Unsupported("x")) == 3

@@ -84,12 +84,3 @@ class TestNormalization:
 
     def test_zero_coefficients_dropped(self):
         assert ExpForm(Q, 2, {1: 0}).is_zero()
-
-
-class TestRoundTrip:
-    def test_addition_uses_common_ram(self):
-        a = form({1: 1}, m=2)
-        b = form({1: 1}, m=3)
-        total = a + b
-        assert total.m == 6
-        assert deg_x(total) == Fraction(1, 2)

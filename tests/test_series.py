@@ -21,7 +21,8 @@ class TestRender:
         z = K.gen()
         s = LaurentSeries(K, {-1: z, 0: 1, 2: 1 - z, 3: -1}, prec=4)
         assert s.render() == "(z)*x^-1+1+(-z+1)*x^2-x^3 + O(x^4)"
-        assert LaurentSeries(K, {}, prec=2).render("t") == "0 + O(t^2)"
+        assert LaurentSeries(K, {}, prec=2).render() == "0 + O(x^2)"
+        assert repr(s) == f"LaurentSeries({s.render()})"
 
 
 class TestArithmetic:

@@ -10,8 +10,8 @@ from ltdirac import (ConnectionMatrix, DiffOperator, ExpForm, FieldHandle,
                      LaurentSeries, UniPoly, as_invariant, base_change,
                      companion, deg_x, direct_sum, exp_module, irregularity,
                      lt_decompose, newton_polygon, parse_operator,
-                     regular_module, turrittin)
-from ltdirac.errors import PrecisionExhausted
+                     push_forward, ramify, regular_module, turrittin)
+from ltdirac.errors import PrecisionExhausted, RamificationMismatch
 from ltdirac.turrittin import _cyclic_operator
 
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
@@ -129,6 +129,27 @@ class TestMatrixRoute:
             lt_decompose(catalog_operator("quadratic-orbit"))
         with pytest.raises(PrecisionExhausted):
             lt_decompose(mat.truncate(2))
+
+
+class TestRamifiedMatrices:
+    """lt_decompose takes modules over K((x)) only; a matrix in t with
+    t^n = x is decomposed through its push-forward."""
+
+    def test_refused(self):
+        mod = exp_module(ExpForm(Q, 1, {1: 1}), 1, Q)
+        with pytest.raises(RamificationMismatch,
+                           match=r"push_forward\(matrix, 2\)"):
+            lt_decompose(ramify(mod, 2))
+
+    @pytest.mark.parametrize("m,form,orbit", [(1, "x^-1 ; m=1", 1),
+                                              (2, "t^-1 ; m=2", 2)],
+                             ids=["m1", "m2"])
+    def test_push_forward_of_pullback(self, m, form, orbit):
+        mod = exp_module(ExpForm(Q, m, {1: 1}), 1, Q)
+        dec = lt_decompose(push_forward(ramify(mod, 2), 2))
+        comp = single_form(dec)
+        assert (comp.form.render(), comp.rank, comp.orbit_size) == \
+            (form, 2, orbit)
 
 
 def _truncated_by(operator, step):
@@ -407,7 +428,7 @@ def _perturbed(operator, tails):
         terms = dict(c.coeffs)
         terms.update({c.prec + k: v for k, v in tail.items()})
         coeffs.append(LaurentSeries(c.field, terms))
-    return DiffOperator(operator.field, coeffs, ram=operator.ram)
+    return DiffOperator(operator.field, coeffs)
 
 
 # a term exactly at the precision, and up to two beyond it
