@@ -197,10 +197,12 @@ def _representative(field, path, counter):
 
 def _decompose_matrix(matrix):
     """Eliminate once and decompose once per precision, doubling it from
-    4 * size * (1 + largest pole) up to four times that while the
-    recursion asks for more.  A matrix with truncated entries gets one
-    attempt, at its own precision.  Only modules over K((x)) (ram = 1)
-    are accepted."""
+    size * (1 + largest pole) up to sixteen times that while the
+    recursion asks for more.  ``newton_polygon`` raises PrecisionTooLow
+    wherever the unknown tail could matter, so the first precision that
+    answers gives the answer of every higher one.  A matrix with
+    truncated entries gets one attempt, at its own precision.  Only
+    modules over K((x)) (ram = 1) are accepted."""
     if matrix.ram != 1:
         raise RamificationMismatch(
             f"the matrix is in t with t^{matrix.ram} = x; decompose "
@@ -211,8 +213,8 @@ def _decompose_matrix(matrix):
     if given is None:
         maxpole = max([0] + [-min(e.coeffs) for row in matrix.rows
                              for e in row if e.coeffs])
-        start = 4 * matrix.size * (1 + maxpole)
-        precs = (start, 2 * start, 4 * start)
+        start = matrix.size * (1 + maxpole)
+        precs = [start << k for k in range(5)]
     else:
         precs = (given,)
     for prec in precs:

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from ltdirac import (DiracDivisor, ExpForm, FieldHandle, LTComponent,
                      UniPoly, as_invariant, as_invariant_nk, base_change,
-                     bracket_values, c_r, deg_x, exactalg, lt_decompose,
-                     omega_at, omega_below, parse_operator)
+                     bracket_values, c_r, deg_x, exactalg, exp_module,
+                     lt_decompose, omega_at, omega_below, parse_operator,
+                     restrict_scalars)
 from ltdirac.errors import DegreeMismatch, RNotAboveOne, Unsupported
 
-from catalog import (build_module, catalog_operator, descend, rational_form,
-                     subst_zeta)
+from catalog import (MODULE_CATALOG, catalog_module, catalog_operator,
+                     descend, subst_zeta)
 
 Q = FieldHandle.rationals()
 
@@ -248,6 +250,28 @@ class TestDescend:
             assert as_invariant(dec, r) == descend(geom, Q), (name, r)
 
 
+SQRT2 = Q.extend(UniPoly(Q, [1, 0, -2]), "s")
+CBRT2 = Q.extend(UniPoly(Q, [1, 0, 0, -2]), "c")
+FROZEN_EXTS = {"i": Q.extend(UniPoly(Q, [1, 0, 1]), "i"), "sqrt2": SQRT2,
+               "cbrt2": CBRT2}
+
+
+def _restricted(field, m, j, coeff):
+    """The module over Q of the form coeff*t^-j (t^m = x) over ``field``:
+    its orbit splits over an extension that contains ``field``."""
+    return restrict_scalars(
+        exp_module(ExpForm(field, m, {j: coeff}), 1, field), Q)
+
+
+FROZEN_MODULES = {name: partial(catalog_module, name)
+                  for name, _ in MODULE_CATALOG}
+FROZEN_MODULES.update({
+    "sqrt2-over-x": lambda: _restricted(SQRT2, 1, 1, SQRT2.gen()),
+    "1+sqrt2-over-t3": lambda: _restricted(SQRT2, 2, 3, SQRT2.gen() + 1),
+    "cbrt2-over-x": lambda: _restricted(CBRT2, 1, 1, CBRT2.gen()),
+})
+
+
 class TestBaseChange:
     def test_quadratic_point_splits(self):
         F = Q.extend(UniPoly(Q, [1, 0, 1]), "i")
@@ -282,10 +306,13 @@ class TestBaseChange:
             rhs = as_invariant(base_change(dec, ext), r)
             assert lhs == rhs, (key, name)
 
-    def test_matrix_route_reruns_frozen_operator(self):
-        module = build_module([(rational_form({3: 2}, m=2), 1),
-                               (rational_form({}), 1)])
-        ext = Q.extend(UniPoly(Q, [1, 0, 1]), "i")
+    @pytest.mark.parametrize("ext", sorted(FROZEN_EXTS))
+    @pytest.mark.parametrize("module", sorted(FROZEN_MODULES))
+    def test_matrix_route_reruns_frozen_operator(self, module, ext):
+        """The kept cyclic operator has the precision of the first
+        elimination that answered; over the larger field it must still
+        give the decomposition of the extended matrix."""
+        module, ext = FROZEN_MODULES[module](), FROZEN_EXTS[ext]
         extended = base_change(lt_decompose(module), ext)
         assert extended.base_field is ext
         assert extended == lt_decompose(module.map_to(ext))

@@ -11,7 +11,8 @@ from ltdirac import (ConnectionMatrix, DiffOperator, ExpForm, FieldHandle,
                      companion, deg_x, direct_sum, exp_module, irregularity,
                      lt_decompose, newton_polygon, parse_operator,
                      push_forward, ramify, regular_module, turrittin)
-from ltdirac.errors import PrecisionExhausted, RamificationMismatch
+from ltdirac.errors import (PrecisionExhausted, PrecisionTooLow,
+                            RamificationMismatch)
 from ltdirac.turrittin import _cyclic_operator
 
 from catalog import (MODULE_CATALOG, OPERATOR_CATALOG, build_module,
@@ -129,6 +130,42 @@ class TestMatrixRoute:
             lt_decompose(catalog_operator("quadratic-orbit"))
         with pytest.raises(PrecisionExhausted):
             lt_decompose(mat.truncate(2))
+
+    def test_retry_at_the_next_rung(self, monkeypatch):
+        """A = [[-2x^-4, 1], [0, -2x^-4]]: size n = 2 and pole p = 4 put
+        the first precision at n(1 + p) = 10, where the recursion asks
+        for more; the second, 20, answers."""
+        pole = LaurentSeries(Q, {-4: -2})
+        mat = ConnectionMatrix(Q, [[pole, LaurentSeries.one(Q)],
+                                   [LaurentSeries.zero(Q), pole]])
+        with pytest.raises(PrecisionTooLow):
+            turrittin._decompose_operator(_cyclic_operator(mat, 10))
+        precs = []
+
+        def cyclic(matrix, prec):
+            precs.append(prec)
+            return _cyclic_operator(matrix, prec)
+
+        monkeypatch.setattr(turrittin, "_cyclic_operator", cyclic)
+        comp = single_form(lt_decompose(mat))
+        assert precs == [10, 20]
+        assert (comp.form.render(), comp.rank, comp.orbit_size) == \
+            ("-2/3*x^-3 ; m=1", 2, 1)
+
+    @pytest.mark.parametrize("pieces", [
+        [(rational_form({3: 2}, m=2), 1), (rational_form({1: 1}, m=2), 1)],
+        [(rational_form({3: 3}), 1), (rational_form({1: 1}), 1),
+         (rational_form({}), 1)],
+    ], ids=["2/t^3+1/t", "3/x^3+1/x+regular"])
+    def test_kept_operator_at_the_first_rung(self, pieces):
+        """Both sums answer at the first precision n(1 + p), so the
+        cyclic operator the decomposition keeps is known no further."""
+        mat = build_module(pieces)
+        pole = max(-min(e.coeffs) for row in mat.rows for e in row
+                   if e.coeffs)
+        dec = lt_decompose(mat)
+        assert all(c.prec <= mat.size * (1 + pole)
+                   for c in dec.operator.coeffs if c.prec is not None)
 
 
 class TestRamifiedMatrices:
