@@ -9,10 +9,7 @@ coefficients raise PrecisionTooLow instead of degrading silently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain
 from math import lcm
-from operator import itemgetter
 
 from .errors import PrecisionTooLow
 from .exactalg import AlgElem, _elem, _reduce, render_terms
@@ -44,16 +41,14 @@ def _scaled(coeffs):
     """(D, [(exp, numerators of c*D), ...] by ascending exp) for the
     least common denominator D of a nonempty coefficient map."""
     den = lcm(*(c.den for c in coeffs.values()))
-    return den, [(e, c.num if c.den == den
-                  else [x * (den // c.den) for x in c.num])
-                 for e, c in sorted(coeffs.items())]
+    return den, sorted((e, c.num if c.den == den
+                        else [x * (den // c.den) for x in c.num])
+                       for e, c in coeffs.items())
 
 
-def _bits(terms):
-    """Bit length of the largest absolute numerator in (exp, numerators)
-    pairs."""
-    return max(map(abs, chain.from_iterable(map(itemgetter(1), terms)))
-               ).bit_length()
+def _bits(nums):
+    """Bit length of the largest absolute value in integer vectors."""
+    return max((abs(x) for num in nums for x in num), default=0).bit_length()
 
 
 def _pack(num, k):
@@ -80,13 +75,13 @@ def _unpack(v, k, count):
     return out
 
 
-def _product(field, a, b, prec, low=None):
-    """Coefficient map of a*b at the exponents from ``low`` (None: all)
-    below ``prec`` (None: all) for nonempty coefficient maps a and b."""
+def _product(field, a, b, prec):
+    """Coefficient map of a*b below ``prec`` (None: all) for nonempty
+    coefficient maps a and b."""
     n = field.abs_degree
     da, ta = _scaled(a)
     db, tb = _scaled(b)
-    k = _bits(ta) + _bits(tb) \
+    k = _bits(x for _, x in ta) + _bits(x for _, x in tb) \
         + (n * min(len(ta), len(tb))).bit_length() + 1
     pb = [(e, _pack(num, k)) for e, num in tb]
     top = ta[-1][0] + tb[-1][0] + 1 if prec is None else prec
@@ -95,8 +90,7 @@ def _product(field, a, b, prec, low=None):
     for e1, num in ta:
         x = _pack(num, k)
         lim = top - e1
-        # (e,) sorts before every (e, y): the slice starts at e2 >= low - e1
-        for e2, y in pb if low is None else pb[bisect_left(pb, (low - e1,)):]:
+        for e2, y in pb:
             if e2 >= lim:
                 break
             e = e1 + e2
@@ -245,17 +239,16 @@ class LaurentSeries:
             raise PrecisionTooLow(
                 "inverting a non-monomial exact series needs a target precision")
         # Newton's iteration y <- y - y*(a*y - 1) for 1/a, a = self/t^v:
-        # with y known below t^done, a*y - 1 starts at t^done, so only
-        # its terms from t^done are formed, and each step doubles the
-        # known length, up to the t^(prec+v) that 1/self = t^-v/a needs
-        # below t^prec.
+        # with y known below t^done, a*y - 1 starts at t^done, and each
+        # step doubles the known length, up to the t^(prec+v) that
+        # 1/self = t^-v/a needs below t^prec.
         field, length = self.field, prec + v
         y, known = {0: lead.inverse()}, 1
         while known < length:
             done, known = known, min(2 * known, length)
             a = {e - v: c for e, c in self.coeffs.items() if e - v < known}
-            err = {e: c for e, c in _product(field, y, a, known, done).items()
-                   if not c.is_zero()}
+            err = {e: c for e, c in _product(field, a, y, known).items()
+                   if e >= done and not c.is_zero()}
             if err:
                 y.update((e, -c) for e, c in
                          _product(field, y, err, known).items())

@@ -257,18 +257,11 @@ class TestKernelsAgainstReference:
         inv = b.inverse(prec=9)
         assert sorted(inv.coeffs) == [0, 1, 3, 4, 6, 7]
         assert inv.coeffs == reference_inverse(b, 9)
-
-
-@pytest.mark.parametrize("name", ["Q", "sqrt2"])
-@pytest.mark.parametrize("exps", [(0, 1), (-2, 1, 6, 19)],
-                         ids=["two-term", "sparse"])
-def test_inverse_to_length_40(name, exps):
-    """Each Newton step forms a*y only from the terms not yet known; the
-    inverse to length 40 still equals the term-by-term recurrence."""
-    field = KERNEL_FIELDS[name]
-    g = field.abs_gen() + 2
-    a = LaurentSeries(field, {e: g ** i for i, e in enumerate(exps, 1)})
-    prec = 40 - min(exps)
-    inv = a.inverse(prec=prec)
-    assert (inv.coeffs, inv.prec) == (reference_inverse(a, prec), prec)
-    assert len(inv.coeffs) > 10
+        # a two-term and a sparse series, inverted to length 40
+        for exps in ((0, 1), (-2, 1, 6, 19)):
+            c = LaurentSeries(field, {e: g ** i
+                                      for i, e in enumerate(exps, 1)})
+            prec = 40 - min(exps)
+            inv = c.inverse(prec=prec)
+            assert (inv.coeffs, inv.prec) == \
+                (reference_inverse(c, prec), prec)
