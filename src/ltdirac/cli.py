@@ -22,32 +22,6 @@ from .turrittin import irregularity, lt_decompose
 SCHEMA_VERSION = 1
 
 
-class JobSpec:
-    __slots__ = ("operator", "field", "mode", "r", "n", "k", "fmt")
-
-    def __init__(self, operator, field="Q", mode="slopes", r=None, n=None,
-                 k=None, fmt="structured"):
-        self.operator = operator
-        self.field = field
-        self.mode = mode
-        self.r = r
-        self.n = n
-        self.k = k
-        self.fmt = fmt
-        if mode not in ("slopes", "decompose", "invariant"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if fmt not in ("text", "structured"):
-            raise ValueError(f"unknown format {fmt!r}")
-        if mode == "invariant":
-            has_r = r is not None
-            has_nk = n is not None or k is not None
-            if has_r == has_nk:
-                raise ValueError(
-                    "mode=invariant needs exactly one of r or (n, k)")
-            if has_nk and (n is None or k is None):
-                raise ValueError("n and k must be given together")
-
-
 def _parse_field(spec):
     field = FieldHandle.rationals()
     spec = (spec or "Q").strip()
@@ -74,23 +48,30 @@ def _parse_r(text):
     return Fraction(int(text))
 
 
-def run(spec):
-    """Execute one job; returns the report as a dict (structured form)."""
-    field = _parse_field(spec.field)
-    operator = parse_operator(spec.operator, field)
+def run(op, field="Q", mode="slopes", r=None, n=None, k=None):
+    """Execute one job on the operator text ``op`` and return its report
+    (the structured form).  Mode invariant takes either the slope ``r``
+    (text 'p/q' or a Fraction) or both ``n`` and ``k`` (r = k/n), else
+    ValueError before the field or the operator is parsed."""
+    if mode == "invariant" and (r is None) == (n is None and k is None):
+        raise ValueError("mode=invariant needs exactly one of r or (n, k)")
+    if mode == "invariant" and (n is None) != (k is None):
+        raise ValueError("n and k must be given together")
+    field = _parse_field(field)
+    operator = parse_operator(op, field)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "mode": spec.mode,
+        "mode": mode,
         "operator": operator.render(),
         "field": field.describe(),
     }
-    if spec.mode == "slopes":
+    if mode == "slopes":
         report["slopes"] = [
             {"slope": str(s), "multiplicity": m}
             for s, m in slopes(operator)]
         return report
     dec = lt_decompose(operator)
-    if spec.mode == "decompose":
+    if mode == "decompose":
         report["ram_index"] = dec.ram_index
         report["total_rank"] = dec.total_rank
         report["irregularity"] = str(irregularity(dec))
@@ -99,15 +80,13 @@ def run(spec):
              "orbit_size": c.orbit_size}
             for c in dec.components]
         return report
-    if spec.r is not None:
-        r = spec.r if isinstance(spec.r, Fraction) else _parse_r(spec.r)
+    if r is not None:
+        r = r if isinstance(r, Fraction) else _parse_r(r)
         divisor = as_invariant(dec, r)
         report["r"] = str(r)
     else:
-        divisor = as_invariant_nk(dec, spec.n, spec.k)
-        report["n"] = spec.n
-        report["k"] = spec.k
-        report["r"] = str(Fraction(spec.k, spec.n))
+        divisor = as_invariant_nk(dec, n, k)
+        report.update(n=n, k=k, r=str(Fraction(k, n)))
     report["divisor"] = divisor.serialize()
     return report
 
@@ -138,6 +117,16 @@ def _render_text(report):
     return "\n".join(lines)
 
 
+#: each setting, given by its flag or by the key of the same name in the
+#: --config file: its JSON type and, for a setting that takes one of a
+#: few words, the name its error gives it and those words
+_SETTING_TYPES = {
+    "op": (str, None, ()), "field": (str, None, ()),
+    "mode": (str, "mode", ("slopes", "decompose", "invariant")),
+    "r": (str, None, ()), "n": (int, None, ()), "k": (int, None, ()),
+    "fmt": (str, "format", ("text", "structured"))}
+
+
 def _build_argparser():
     ap = argparse.ArgumentParser(
         prog="ltdirac",
@@ -150,29 +139,24 @@ def _build_argparser():
                     help="base field: 'Q' or 'adjoin: z^2+1' clauses "
                          "separated by ';'")
     ap.add_argument("--mode", default=None,
-                    choices=["slopes", "decompose", "invariant"])
+                    choices=_SETTING_TYPES["mode"][2])
     ap.add_argument("--r", default=None, help="slope r as 'p/q' (> 1)")
     ap.add_argument("--n", type=int, default=None)
     ap.add_argument("--k", type=int, default=None)
     ap.add_argument("--format", dest="fmt", default=None,
-                    choices=["text", "structured"])
+                    choices=_SETTING_TYPES["fmt"][2])
     ap.add_argument("--config", default=None,
                     help="JSON file with default values for the flags")
     return ap
 
 
-#: the JSON type of each setting, given by the flag of the same name or
-#: by a key of the --config file
-_SETTING_TYPES = {"op": str, "field": str, "mode": str, "r": str, "n": int,
-                  "k": int, "fmt": str}
-
-
 def _settings(args):
-    """The operator text and JobSpec's other keyword arguments, each flag
-    over the --config file; what neither gives keeps JobSpec's default.
-    ValueError when the file cannot be read or is not a JSON object,
-    gives a setting a value of the wrong type (null leaves it unset), or
-    when no operator is given."""
+    """The job's settings by name, each flag over the --config file; what
+    neither gives is left out, so ``run`` and ``main`` keep their
+    defaults, and the operator '-' is read from stdin.  ValueError when
+    the file cannot be read or is not a JSON object, gives a setting a
+    value of the wrong type (null leaves it unset), when no operator is
+    given, or when a value is not one of its setting's choices."""
     loaded = {}
     if args.config:
         try:
@@ -183,7 +167,7 @@ def _settings(args):
         if not isinstance(loaded, dict):
             raise ValueError("config is not a JSON object")
     settings = {}
-    for key, kind in _SETTING_TYPES.items():
+    for key, (kind, _, _) in _SETTING_TYPES.items():
         value = loaded.get(key)
         if value is not None and type(value) is not kind:
             raise ValueError(f"config value {key!r} must be of type "
@@ -192,18 +176,22 @@ def _settings(args):
             value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    op = settings.pop("op", None)
-    if op is None:
+    if "op" not in settings:
         raise ValueError("no operator given (--op or config)")
-    return (sys.stdin.read().strip() if op == "-" else op), settings
+    for key, (_, name, words) in _SETTING_TYPES.items():
+        if words and key in settings and settings[key] not in words:
+            raise ValueError(f"unknown {name} {settings[key]!r}")
+    if settings["op"] == "-":
+        settings["op"] = sys.stdin.read().strip()
+    return settings
 
 
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
     try:
-        op, settings = _settings(args)
-        spec = JobSpec(op, **settings)
-        report = run(spec)
+        settings = _settings(args)
+        fmt = settings.pop("fmt", "structured")
+        report = run(**settings)
     except ParseError as exc:
         print(f"parse error: {exc} (position {exc.position}, "
               f"expected one of {', '.join(exc.expected)})", file=sys.stderr)
@@ -218,7 +206,7 @@ def main(argv=None):
         error = InternalError(" ".join(f"{type(exc).__name__}: {exc}".split()))
         print(f"error [{error.code}]: {error}", file=sys.stderr)
         return exit_code_for(error)
-    if spec.fmt == "text":
+    if fmt == "text":
         print(_render_text(report))
     else:
         print(json.dumps(report, sort_keys=True, indent=2))

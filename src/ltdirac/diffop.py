@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionTooLow, RamificationMismatch
-from .exactalg import UniPoly, join_terms
+from .exactalg import UniPoly, render_terms
 from .series import LaurentSeries
 
 
@@ -154,23 +154,8 @@ class DiffOperator:
         return f"DiffOperator({self.render()})"
 
     def render(self):
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            cs = c.render()
-            if i == 0:
-                parts.append(cs)
-                continue
-            dpow = "D" if i == 1 else f"D^{i}"
-            if cs in ("1", "-1"):
-                parts.append(cs[:-1] + dpow)
-            elif "+" in cs[1:] or "-" in cs[1:]:
-                parts.append(f"({cs})*{dpow}")
-            else:
-                parts.append(f"{cs}*{dpow}")
-        return join_terms(parts, " ")
+        terms = [(c, i) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        return render_terms(terms[::-1], "D", " ")
 
 
 class NewtonPolygon:
@@ -272,11 +257,7 @@ def newton_polygon(operator):
 
 def slopes(operator):
     """Multiset of (slope, multiplicity); includes the slope-0 mass."""
-    poly = newton_polygon(operator)
-    out = {}
-    for slope, length in poly.slopes():
-        out[slope] = out.get(slope, 0) + length
-    return sorted(out.items())
+    return newton_polygon(operator).slopes()
 
 
 # -- connection matrices ---------------------------------------------
@@ -358,11 +339,6 @@ def twist(matrix, form):
     return ConnectionMatrix(field, rows, matrix.ram)
 
 
-def minimal_precision(order):
-    """Smallest truncation order accepted when building companions."""
-    return 2 * max(order, 1)
-
-
 def companion(operator, precision):
     """Companion matrix of L/a_d, truncated to the given precision."""
     d = operator.order()
@@ -370,10 +346,9 @@ def companion(operator, precision):
         if d == 0:
             return ConnectionMatrix(operator.field, [])
         raise ValueError("companion of the zero operator")
-    if precision < minimal_precision(d):
+    if precision < 2 * d:
         raise PrecisionTooLow(
-            f"precision {precision} below minimal working precision "
-            f"{minimal_precision(d)}")
+            f"precision {precision} below minimal working precision {2 * d}")
     field = operator.field
     lead = operator.coeffs[d]
     z = LaurentSeries.zero(field, precision)

@@ -516,16 +516,22 @@ def _display_gen_name(field):
 
 def render_terms(terms, var, sep=""):
     """The (coefficient, power) pairs, in the given order, as terms
-    ``c*var^power`` joined by sign.  A rational coefficient (a Fraction
-    or a rational element) prints as its Fraction, dropped when it is
-    +-1 in front of a power of var; any other prints as (c.render())."""
+    ``c*var^power`` joined by sign and padded with ``sep``.  A Fraction or
+    rational element prints as its Fraction, another element as
+    (c.render()), anything else (a series) as c.render(), in parentheses
+    before a power of var when it has a sign after its first character.
+    Before a power of var, a printed 1 or -1 leaves only its sign."""
     parts = []
     for c, power in terms:
         if isinstance(c, AlgElem):
             body = str(c.as_fraction()) if c.is_rational() \
                 else f"({c.render()})"
-        else:
+        elif isinstance(c, Fraction):
             body = str(c)
+        else:
+            body = c.render()
+            if power and ("+" in body[1:] or "-" in body[1:]):
+                body = f"({body})"
         if power == 0:
             parts.append(body)
             continue
@@ -610,10 +616,6 @@ class UniPoly:
         return UniPoly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, AlgElem):
-            return UniPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.field, [])
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

@@ -207,8 +207,6 @@ def _decompose_matrix(matrix):
         raise RamificationMismatch(
             f"the matrix is in t with t^{matrix.ram} = x; decompose "
             f"push_forward(matrix, {matrix.ram}), its module over K((x))")
-    if matrix.size == 0:
-        return _decompose_operator(DiffOperator.identity(matrix.field))
     given = matrix.truncation_order()
     if given is None:
         maxpole = max([0] + [-min(e.coeffs) for row in matrix.rows

@@ -120,6 +120,8 @@ class TestSlopeOracle:
                 continue
             dec = lt_decompose(op)
             polygon = newton_polygon(op)
+            edge_slopes = [s for s, _ in polygon.slopes()]
+            assert edge_slopes == sorted(set(edge_slopes))
             assert decomposition_slopes(dec) == slopes(op)
             assert irregularity(dec) == polygon.irregularity()
             assert dec.total_rank == op.order()

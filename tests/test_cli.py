@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from ltdirac import FieldHandle, UniPoly, parse_operator
-from ltdirac.cli import JobSpec, _parse_field, main, run
+from ltdirac.cli import _parse_field, main, run
 from ltdirac.errors import (EXIT_CODES, DegreeCapExceeded, InternalError,
                             LTDiracError, ParseError, PrecisionExhausted,
                             Unsupported, exit_code_for)
@@ -73,7 +73,7 @@ class TestExitCodes:
         assert [c["orbit_size"] for c in report["components"]] == [3]
 
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
-        def broken(spec):
+        def broken(**settings):
             return 1 // 0
         monkeypatch.setattr("ltdirac.cli.run", broken)
         assert main(["--op", "x*D - 5"]) == EXIT_CODES["internal-error"]
@@ -209,6 +209,14 @@ class TestTextFormat:
             "divisor:\n"
             "  1 * (y+1)  [degree 1]\n")
 
+    def test_zero_divisor(self, capsys):
+        assert self._text(["--op", "x^3*D - 2", "--mode", "invariant",
+                           "--r", "2"], capsys) == (
+            "operator: x^3*D - 2\n"
+            "field:    Q\n"
+            "r: 2\n"
+            "divisor: 0\n")
+
 
 class TestFieldClauses:
     @pytest.mark.parametrize("spec", [
@@ -238,20 +246,28 @@ class TestFieldClauses:
 
 
 class TestJobSpec:
-    def test_invariant_needs_r_or_nk(self):
-        with pytest.raises(ValueError):
-            JobSpec("x*D", mode="invariant")
-        with pytest.raises(ValueError):
-            JobSpec("x*D", mode="invariant", r="2", n=1, k=2)
-        with pytest.raises(ValueError):
-            JobSpec("x*D", mode="invariant", n=2)
+    """The settings of one job: ``main`` checks each against its type and
+    choices, ``run`` checks the slope of mode invariant; both before the
+    operator is parsed."""
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            JobSpec("x*D", mode="spectra")
+    def test_invariant_needs_r_or_nk(self):
+        for settings, message in [
+                ({}, "mode=invariant needs exactly one of r or (n, k)"),
+                ({"r": "2", "n": 1, "k": 2},
+                 "mode=invariant needs exactly one of r or (n, k)"),
+                ({"n": 2}, "n and k must be given together")]:
+            with pytest.raises(ValueError) as info:
+                run("x^*D", mode="invariant", **settings)
+            assert str(info.value) == message
+
+    def test_unknown_mode(self, capsys, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"op": "x^*D", "mode": "spectra"}))
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown mode 'spectra'\n"
 
     def test_run_returns_structured_report(self):
-        report = run(JobSpec("x^2*D - 1", mode="slopes"))
+        report = run("x^2*D - 1", mode="slopes")
         assert report["slopes"] == [{"slope": "1", "multiplicity": 1}]
 
 

@@ -59,6 +59,43 @@ class TestNewtonPolygon:
         b = parse_operator("x*D - 5")
         assert slopes(a.compose(b)) == [(0, 1), (1, 1)]
 
+    @pytest.mark.parametrize("build,coeffs,message", [
+        (newton_polygon, [{-1: 1}, ({}, 3)],
+         "coefficient of D^1 is zero to its precision 3"),
+        (newton_polygon, [({}, 2)],
+         "every coefficient is zero to its precision"),
+        (DiffOperator.normalize, [({}, 2)],
+         "every coefficient is zero to its precision")],
+        ids=["top-unknown", "all-unknown", "all-unknown-normalize"])
+    def test_unknown_coefficients_raise(self, build, coeffs, message):
+        """Coefficients given as {exponent: c} or ({...}, precision)."""
+        op = DiffOperator(Q, [LaurentSeries(Q, *c) if isinstance(c, tuple)
+                              else LaurentSeries(Q, c) for c in coeffs])
+        with pytest.raises(PrecisionTooLow) as info:
+            build(op)
+        assert str(info.value) == message
+
+
+class TestRender:
+    """A series coefficient prints in parentheses before a power of D
+    when its text has a sign after the first character, as 2*x^-1 has;
+    the constant term prints bare."""
+
+    def test_truncated_coefficients_over_q(self):
+        op = DiffOperator(Q, [LaurentSeries(Q, {0: 1, 2: -3}, 4),
+                              LaurentSeries(Q, {-1: 2}),
+                              LaurentSeries(Q, {1: 1, 3: 2}, 5)])
+        assert op.render() == \
+            "(x+2*x^3 + O(x^5))*D^2 + (2*x^-1)*D + 1-3*x^2 + O(x^4)"
+
+    def test_irrational_coefficients(self):
+        field = Q.extend(UniPoly(Q, [1, 0, -2]), "z")
+        z = field.gen()
+        op = DiffOperator(field, [LaurentSeries(field, {0: z}),
+                                  LaurentSeries(field, {-2: z + 1, 0: 1}, 3),
+                                  LaurentSeries(field, {0: -1})])
+        assert op.render() == "-D^2 + ((z+1)*x^-2+1 + O(x^3))*D + (z)"
+
 
 class TestRamify:
     def test_identity(self):

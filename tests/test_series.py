@@ -91,6 +91,10 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             series({}).inverse()
 
+    def test_exact_non_monomial_needs_a_target_precision(self):
+        with pytest.raises(PrecisionTooLow):
+            series({0: 1, 1: 1}).inverse()
+
 
 class TestCalculus:
     def test_derivative(self):

@@ -116,6 +116,16 @@ class TestMatrixRoute:
         comp = single_form(dec)
         assert comp.form == rational_form({1: 1}) and comp.rank == 1
 
+    def test_empty_matrix(self):
+        dec = lt_decompose(ConnectionMatrix(Q, []))
+        assert (dec.components, dec.total_rank, dec.ram_index) == ([], 0, 1)
+        assert as_invariant(dec, Fraction(2)).is_zero()
+
+    def test_no_cyclic_vector_at_precision_zero(self):
+        with pytest.raises(PrecisionTooLow,
+                           match="no cyclic vector found at this precision"):
+            _cyclic_operator(regular_module(Q, 2), 0)
+
     def test_precision_exhausted_on_starved_input(self):
         mat = companion(catalog_operator("ramified"), 4).truncate(2)
         with pytest.raises(PrecisionExhausted):
